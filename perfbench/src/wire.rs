@@ -34,6 +34,10 @@ pub const DYNAMIC_N: usize = 20_000;
 pub const DYNAMIC_M: usize = 60_000;
 /// Pairs per query stream (each with BFS ground truth).
 pub const QUERIES: usize = 100_000;
+/// Pairs per in-process batch: a whole stream, about 2 ms on 2 cores
+/// over the `wire-frozen` oracle. Smaller batches of these cheap queries
+/// are dominated by the spawn of the batch's threads.
+pub const BATCH_PAIRS: usize = QUERIES;
 /// The writer's think time between a reply and its next request. At
 /// full speed the writer kept the rebuild worker and both cores busy,
 /// and read p99 across 10 seeds spread by 43%, tracking hypervisor
@@ -230,6 +234,7 @@ pub fn run_frozen(cfg: &Cfg, tracer: &Tracer) -> Outcome {
         batch_slice(
             &streams,
             ROUND.mul_f64(0.2),
+            BATCH_PAIRS,
             &mut rates,
             &mut out,
             &mut rec,
@@ -439,6 +444,7 @@ pub fn run_dynamic(cfg: &Cfg, tracer: &Tracer) -> Outcome {
         batch_slice(
             &streams,
             ROUND.mul_f64(0.2),
+            BATCH_PAIRS,
             &mut rates,
             &mut out,
             &mut rec,
