@@ -217,13 +217,12 @@ fn perf_cmd(args: &[String]) {
         );
     }
     eprintln!(
-        "# perf[cold]: open {:.2} ms owned (v1) -> {:.2} ms mapped (v3), {:.1}x \
-         ({:.2} ms unverified; files {} / {} bytes)",
-        report.cold_start.owned_open_ms,
+        "# perf[cold]: mapped (v3) open {:.2} ms vs build {:.0} ms, {:.1}x \
+         ({:.2} ms unverified; file {} bytes)",
         report.cold_start.mapped_open_ms,
-        report.cold_start.speedup(),
+        report.build.auto_ms,
+        report.open_vs_build_speedup(),
         report.cold_start.mapped_unverified_open_ms,
-        report.cold_start.v1_file_bytes,
         report.cold_start.v3_file_bytes,
     );
     for s in &report.scaling {

@@ -307,14 +307,10 @@ impl DistributionLabeling {
         &self.labeling
     }
 
-    /// Reassembles an oracle from persisted parts (see
-    /// [`crate::persist`]). The order table may be owned (v1 streaming
-    /// load) or a mapped arena window (v3 open).
-    pub(crate) fn from_parts(labeling: Labeling, order: impl Into<Store<u32>>) -> Self {
-        DistributionLabeling {
-            labeling,
-            order: order.into(),
-        }
+    /// Reassembles an oracle from the sections of an opened HOPL v3
+    /// arena (see [`crate::persist`]).
+    pub(crate) fn from_parts(labeling: Labeling, order: Store<u32>) -> Self {
+        DistributionLabeling { labeling, order }
     }
 
     /// True byte footprint (labels + signatures + the order table),

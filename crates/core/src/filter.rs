@@ -221,8 +221,8 @@ fn min_reachable_post(dag: &Dag, post: &[u32]) -> Vec<u32> {
 ///
 /// Built in `O(n + m)` by [`QueryFilters::build`]; all state is one
 /// flat array of 32-byte per-vertex records, so a filter set is cheap
-/// to clone, ship, and (in [`crate::persist`]) rebuild from a loaded
-/// condensation — the on-disk HOPL format carries no filter payload.
+/// to clone, ship, and persist verbatim (the HOPL v3 `FILTREC`
+/// section, see [`crate::persist`]).
 ///
 /// ```
 /// use hoplite_graph::Dag;

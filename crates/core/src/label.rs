@@ -201,12 +201,12 @@ pub enum LabelPath {
 ///
 /// Alongside the two CSR sides it stores one 64-bit rank-band
 /// signature per vertex per side (see the module docs); signatures are
-/// derived from the lists on construction and re-derived when a
-/// persisted index predates the signature section.
+/// derived from the lists on construction and persisted alongside
+/// them.
 /// Every array lives in a [`Store`]: owned `Vec`s when built in
-/// process or loaded through the HOPL v1 streaming reader, typed
-/// windows into one shared arena when opened from a HOPL v3 file (see
-/// [`crate::store`]). The accessors below cannot tell the difference.
+/// process, typed windows into one shared arena when opened from a
+/// HOPL v3 file (see [`crate::store`]). The accessors below cannot
+/// tell the difference.
 #[derive(Clone, Debug)]
 pub struct Labeling {
     out_offsets: Store<u32>,
@@ -391,9 +391,8 @@ impl Labeling {
         )
     }
 
-    /// Rebuilds from raw CSR parts, deriving the signature arrays.
-    /// The caller (the persistence layer) must have validated monotone
-    /// offsets and sorted hop lists.
+    /// Assembles from raw CSR parts, deriving the signature arrays.
+    /// The caller must pass monotone offsets and sorted hop lists.
     pub(crate) fn from_csr_unchecked(
         out_offsets: Vec<u32>,
         out_hops: Vec<u32>,
@@ -458,8 +457,7 @@ impl Labeling {
 
     /// The signature arrays and their shift,
     /// `(out_sigs, in_sigs, sig_shift)` — the persistence layer's view
-    /// (persisted as the optional `SIGS` section and cross-checked on
-    /// load).
+    /// (written verbatim as the v3 `OUT_SIG`/`IN_SIG` sections).
     pub(crate) fn signature_parts(&self) -> (&[u64], &[u64], u32) {
         (&self.out_sigs, &self.in_sigs, self.sig_shift)
     }

@@ -5,9 +5,8 @@
 //! signatures, filter records, the component mapping — is held in a
 //! [`Store<T>`]. A store is *born* one of two ways:
 //!
-//! * **Owned** — today's `Vec<T>`, produced by construction and by the
-//!   HOPL v1 streaming loader. Nothing about the build pipeline
-//!   changes.
+//! * **Owned** — today's `Vec<T>`, produced by construction. Nothing
+//!   about the build pipeline changes.
 //! * **Mapped** — a typed window into one page-aligned, reference-
 //!   counted [`ArenaBuf`] (an `mmap` of a HOPL v3 file on unix, a
 //!   page-aligned heap read elsewhere). Opening an index then costs
@@ -153,9 +152,7 @@ impl ArenaBuf {
     /// geometrically (starting at 4 MiB) and only ever exceeds the
     /// bytes actually received by a constant factor, so a hostile
     /// stream whose header claims terabytes fails at the EOF it
-    /// implies instead of forcing a terabyte allocation — the same
-    /// fail-at-EOF discipline the HOPL v1 reader applies to its
-    /// length fields.
+    /// implies instead of forcing a terabyte allocation.
     pub fn from_prefix_and_reader(
         prefix: &[u8],
         total_len: usize,

@@ -8,8 +8,8 @@
 //! [`hoplite_core::persist`] frames the deployment story as "build
 //! once, ship the index to query-serving replicas"; this crate *is*
 //! that replica. A [`Registry`] holds many named graphs at once —
-//! frozen [`hoplite_core::Oracle`] snapshots (loaded from `HOPL` files
-//! or built at startup) and mutable [`hoplite_core::DynamicOracle`]
+//! frozen [`hoplite_core::Oracle`] snapshots (opened from HOPL v3
+//! arena files or built at startup) and mutable [`hoplite_core::DynamicOracle`]
 //! namespaces — and a [`Server`] (per-connection thread pool, or an
 //! epoll/kqueue reactor via [`ServeMode::Reactor`] that multiplexes
 //! 10k+ sockets on one thread and coalesces queries across them)
@@ -30,7 +30,7 @@
 //! use hoplite_graph::DiGraph;
 //! use hoplite_server::{Client, Registry, Server, ServerConfig};
 //!
-//! // Build (or `Oracle::load`) an index and register it.
+//! // Build (or `Oracle::open`) an index and register it.
 //! let g = DiGraph::from_edges(4, &[(0, 1), (1, 2), (2, 0), (2, 3)]).unwrap();
 //! let registry = Arc::new(Registry::new());
 //! registry.insert_frozen("web", Oracle::new(&g)).unwrap();

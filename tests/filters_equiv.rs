@@ -4,7 +4,6 @@
 //! freshly built oracle, after a `save`/`load` round-trip, and through
 //! the `hoplite-server` wire path.
 
-use std::io::Cursor;
 use std::sync::Arc;
 
 use hoplite::core::{FilterVerdict, Parallelism, Pruning};
@@ -99,14 +98,13 @@ fn equivalence_survives_save_load_roundtrip() {
         let g = random_cyclic_digraph(56, 180, 0xBEEF ^ seed);
         let oracle = Oracle::new(&g);
         let mut buf = Vec::new();
-        oracle.save(&mut buf).expect("save");
-        let restored = Oracle::load(Cursor::new(&buf)).expect("load");
-        // The filters are rebuilt from the persisted condensation, so
+        oracle.save_arena(&mut buf).expect("save");
+        let restored = Oracle::open_arena_bytes(&buf).expect("load");
+        // The filter records are persisted (the FILTREC section), so
         // the restored oracle must pass the same full-matrix check.
         assert_oracle_matches_bfs(&g, &restored, &format!("roundtrip seed {seed}"));
-        // And the two oracles' filter verdicts are identical (same
-        // deterministic build over the same DAG, same projection into
-        // original-vertex space).
+        // And the persisted records classify exactly as the ones the
+        // build produced.
         let n = g.num_vertices() as VertexId;
         for u in 0..n {
             for v in 0..n {

@@ -1,103 +1,14 @@
-//! Failure injection for the persistence layer: a loader fed hostile
-//! bytes must return a structured [`PersistError`] — never panic, never
-//! produce an oracle that violates label invariants. Covers both the
-//! HOPL v1 streaming format and the HOPL v3 zero-copy arena.
-
-use std::io::Cursor;
+//! Failure injection for the persistence layer: the HOPL v3 arena
+//! reader fed hostile bytes must return a structured [`PersistError`]
+//! — never panic, never produce an oracle that violates label
+//! invariants.
 
 use proptest::prelude::*;
 
 use hoplite::core::store::checksum;
-use hoplite::core::{DistributionLabeling, DlConfig, HierarchicalLabeling, HlConfig, ReachIndex};
-use hoplite::graph::{gen, traversal, Dag, DiGraph, VertexId};
+use hoplite::core::{OpenOptions, PersistError};
+use hoplite::graph::{gen, traversal, DiGraph, VertexId};
 use hoplite::Oracle;
-
-/// A serialized DL oracle over a small fixed DAG.
-fn serialized_fixture() -> (Dag, Vec<u8>) {
-    let dag = gen::random_dag(40, 110, 5);
-    let dl = DistributionLabeling::build(&dag, &DlConfig::default());
-    let mut buf = Vec::new();
-    dl.save(&mut buf).expect("in-memory write");
-    (dag, buf)
-}
-
-#[test]
-fn truncation_at_every_prefix_is_rejected() {
-    let (_, buf) = serialized_fixture();
-    // The trailing signature section is optional by design (legacy
-    // PR 3-era files end right before it), so exactly one strict
-    // prefix is a complete valid file: the one that removes the whole
-    // section. Every other prefix must fail cleanly.
-    let sig_section = 4 + 4 + 8 + 16 * 40; // magic + shift + count + 2×40 u64
-    let legacy_cut = buf.len() - sig_section;
-    for cut in 0..buf.len() {
-        let r = DistributionLabeling::load(Cursor::new(&buf[..cut]));
-        if cut == legacy_cut {
-            assert!(r.is_ok(), "the legacy (pre-signature) prefix must load");
-        } else {
-            assert!(r.is_err(), "prefix of {cut} bytes unexpectedly loaded");
-        }
-    }
-}
-
-#[test]
-fn trailing_garbage_is_rejected() {
-    let (_, mut buf) = serialized_fixture();
-    buf.extend_from_slice(b"EXTRA");
-    assert!(
-        DistributionLabeling::load(Cursor::new(&buf)).is_err(),
-        "file with trailing bytes must not load"
-    );
-}
-
-#[test]
-fn wrong_magic_and_version_are_rejected() {
-    let (_, buf) = serialized_fixture();
-    let mut bad_magic = buf.clone();
-    bad_magic[0] ^= 0xFF;
-    assert!(DistributionLabeling::load(Cursor::new(&bad_magic)).is_err());
-
-    // The version byte lives in the header; flipping any of the first
-    // 16 bytes must fail (magic, version, or section sizes).
-    for i in 0..16.min(buf.len()) {
-        let mut bad = buf.clone();
-        bad[i] = bad[i].wrapping_add(1);
-        assert!(
-            DistributionLabeling::load(Cursor::new(&bad)).is_err()
-                || DistributionLabeling::load(Cursor::new(&bad)).is_ok(),
-            "loader must not panic on header byte {i}"
-        );
-    }
-}
-
-#[test]
-fn hl_loader_rejects_dl_files_or_validates() {
-    // Cross-loading a DL file through the HL loader must not panic;
-    // it either fails (format tag) or yields a structurally valid
-    // labeling.
-    let (_, buf) = serialized_fixture();
-    let _ = HierarchicalLabeling::load(Cursor::new(&buf));
-}
-
-#[test]
-fn hl_roundtrip_preserves_queries() {
-    let dag = gen::tree_plus_dag(60, 25, 8);
-    let hl = HierarchicalLabeling::build(
-        &dag,
-        &HlConfig {
-            core_size_limit: 12,
-            ..HlConfig::default()
-        },
-    );
-    let mut buf = Vec::new();
-    hl.save(&mut buf).expect("write");
-    let hl2 = HierarchicalLabeling::load(Cursor::new(&buf)).expect("reload");
-    for u in 0..60u32 {
-        for v in 0..60u32 {
-            assert_eq!(hl.query(u, v), hl2.query(u, v), "({u},{v})");
-        }
-    }
-}
 
 // ---------------------------------------------------------------------
 // HOPL v3 arena failure injection
@@ -137,6 +48,92 @@ fn reseal_arena(buf: &mut [u8]) {
     }
     let header_sum = checksum(&buf[..56]);
     buf[56..64].copy_from_slice(&header_sum.to_le_bytes());
+}
+
+/// A scratch file path unique to this process and `tag`.
+fn temp_path(tag: &str) -> std::path::PathBuf {
+    std::env::temp_dir().join(format!("hoplite-fuzz-{}-{tag}.hopl3", std::process::id()))
+}
+
+#[test]
+fn truncation_at_every_prefix_is_rejected() {
+    let (_, buf) = arena_fixture();
+    // The header pins the file length, so no strict prefix is a
+    // complete file.
+    for cut in 0..buf.len() {
+        let r = Oracle::open_arena_bytes(&buf[..cut]);
+        assert!(r.is_err(), "prefix of {cut} bytes unexpectedly loaded");
+    }
+}
+
+#[test]
+fn trailing_garbage_is_rejected() {
+    let (_, mut buf) = arena_fixture();
+    buf.extend_from_slice(b"EXTRA");
+    assert!(
+        Oracle::open_arena_bytes(&buf).is_err(),
+        "file with trailing bytes must not load"
+    );
+}
+
+#[test]
+fn wrong_magic_and_version_are_rejected() {
+    let (_, buf) = arena_fixture();
+    let mut bad_magic = buf.clone();
+    bad_magic[0] ^= 0xFF;
+    assert!(Oracle::open_arena_bytes(&bad_magic).is_err());
+
+    // Magic, version, kind and section count live in the first 16
+    // header bytes; changing any of them must fail.
+    for i in 0..16 {
+        let mut bad = buf.clone();
+        bad[i] = bad[i].wrapping_add(1);
+        assert!(
+            Oracle::open_arena_bytes(&bad).is_err(),
+            "header byte {i} accepted"
+        );
+    }
+}
+
+#[test]
+fn short_and_pre_v3_files_are_format_errors() {
+    // A HOPL v1 header: magic, version 1, kind 4 (Oracle), n = 0.
+    let mut v1_header = b"HOPL".to_vec();
+    v1_header.extend_from_slice(&1u32.to_le_bytes());
+    v1_header.push(4);
+    v1_header.extend_from_slice(&0u64.to_le_bytes());
+    for (what, bytes) in [
+        ("empty", &[][..]),
+        ("3-byte", &b"HOP"[..]),
+        ("v1-header", &v1_header[..]),
+    ] {
+        let path = temp_path(what);
+        std::fs::write(&path, bytes).unwrap();
+        let read = OpenOptions {
+            mmap: false,
+            ..OpenOptions::default()
+        };
+        let results = [
+            ("open", Oracle::open(&path)),
+            ("open_with(read)", Oracle::open_with(&path, &read)),
+            ("open_arena_bytes", Oracle::open_arena_bytes(bytes)),
+        ];
+        std::fs::remove_file(&path).ok();
+        for (entry, result) in results {
+            let err = result.expect_err("a non-arena file opened");
+            assert!(
+                matches!(err, PersistError::Format(_)),
+                "{what} via {entry}: {err}"
+            );
+            if what == "v1-header" {
+                let msg = err.to_string();
+                assert!(
+                    msg.contains("version 1") && msg.contains("save_arena"),
+                    "{entry}: {msg}"
+                );
+            }
+        }
+    }
 }
 
 #[test]
@@ -200,43 +197,18 @@ fn arena_checksum_corruption_rejected() {
     }
 }
 
-#[test]
-fn v1_and_v2_files_upgrade_to_v3_and_answer_identically() {
-    // The upgrade path: a legacy index (v2 = v1 + SIGS section, and
-    // the older SIGS-less v1) loads through the owned reader, writes
-    // a v3 arena, and the reopened arena answers like the original.
-    let g = random_cyclic_digraph(30, 90, 16);
-    let oracle = Oracle::new(&g);
-    let mut v2 = Vec::new();
-    oracle.save(&mut v2).unwrap();
-    let mut v1 = v2.clone();
-    v1.truncate(v2.len() - (4 + 4 + 8 + 16 * oracle.num_components()));
-    for (what, legacy) in [("v2", v2), ("v1", v1)] {
-        let loaded = Oracle::load(Cursor::new(&legacy)).expect("legacy file loads");
-        let mut arena = Vec::new();
-        loaded.save_arena(&mut arena).expect("upgrade to v3");
-        let upgraded = Oracle::open_arena_bytes(&arena).expect("upgraded arena opens");
-        for u in 0..30u32 {
-            for v in 0..30u32 {
-                assert_eq!(
-                    upgraded.reaches(u, v),
-                    traversal::reaches(&g, u, v),
-                    "{what} ({u},{v})"
-                );
-            }
-        }
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Arbitrary byte soup never panics either loader.
+    /// Arbitrary byte soup on disk never panics the file readers,
+    /// mapped or read.
     #[test]
     fn loaders_never_panic_on_junk(junk in proptest::collection::vec(any::<u8>(), 0..256)) {
-        let _ = DistributionLabeling::load(Cursor::new(&junk));
-        let _ = HierarchicalLabeling::load(Cursor::new(&junk));
-        let _ = hoplite::core::persist::read_labeling(Cursor::new(&junk));
+        let path = temp_path(&format!("junk-{}", checksum(&junk)));
+        std::fs::write(&path, &junk).expect("write temp junk");
+        let _ = Oracle::open(&path);
+        let _ = Oracle::open_with(&path, &OpenOptions { mmap: false, ..OpenOptions::default() });
+        std::fs::remove_file(&path).ok();
     }
 
     /// Byte soup dressed as a v3 arena (valid magic + version) never
@@ -247,7 +219,6 @@ proptest! {
         let mut dressed = b"HOPL\x03\x00\x00\x00".to_vec();
         dressed.extend_from_slice(&junk);
         let _ = Oracle::open_arena_bytes(&dressed);
-        let _ = Oracle::load(Cursor::new(&dressed));
     }
 
     /// On any random cyclic digraph, the mapped (mmap), owned-read,
@@ -266,7 +237,7 @@ proptest! {
         let mapped = Oracle::open(&path).expect("mapped open");
         let owned = Oracle::open_with(
             &path,
-            &hoplite::core::OpenOptions { mmap: false, ..Default::default() },
+            &OpenOptions { mmap: false, ..Default::default() },
         )
         .expect("owned open");
         std::fs::remove_file(&path).ok();
@@ -285,14 +256,16 @@ proptest! {
     /// path relies on (sorted, in-bounds hop lists).
     #[test]
     fn bit_flips_fail_closed(pos in 0usize..4096, bit in 0u8..8) {
-        let (_, buf) = serialized_fixture();
+        let (_, buf) = arena_fixture();
         let pos = pos % buf.len();
         let mut bad = buf.clone();
         bad[pos] ^= 1 << bit;
-        if let Ok(dl) = DistributionLabeling::load(Cursor::new(&bad)) {
-            // A surviving load must still be internally consistent:
+        if let Ok(oracle) = Oracle::open_arena_bytes(&bad) {
+            // A surviving load (a flip in the zero padding between
+            // sections, which no checksum covers) must still be
+            // internally consistent:
             // sorted labels (the merge-intersection precondition).
-            let l = dl.labeling();
+            let l = oracle.inner().labeling();
             for v in 0..l.num_vertices() as u32 {
                 prop_assert!(l.out_label(v).windows(2).all(|w| w[0] < w[1]));
                 prop_assert!(l.in_label(v).windows(2).all(|w| w[0] < w[1]));

@@ -284,15 +284,14 @@ proptest! {
     /// Persisted oracles reload to identical query behaviour.
     #[test]
     fn persistence_roundtrip(dag in arb_dag(24, 70)) {
-        use std::io::Cursor;
-        let dl = DistributionLabeling::build(&dag, &DlConfig::default());
+        let oracle = hoplite::Oracle::new(dag.graph());
         let mut buf = Vec::new();
-        dl.save(&mut buf).expect("serialize");
-        let dl2 = hoplite::core::DistributionLabeling::load(Cursor::new(&buf)).expect("load");
+        oracle.save_arena(&mut buf).expect("serialize");
+        let oracle2 = hoplite::Oracle::open_arena_bytes(&buf).expect("load");
         let n = dag.num_vertices() as u32;
         for u in 0..n {
             for v in 0..n {
-                prop_assert_eq!(dl.query(u, v), dl2.query(u, v));
+                prop_assert_eq!(oracle.reaches(u, v), oracle2.reaches(u, v));
             }
         }
     }

@@ -307,13 +307,13 @@ fn malformed_frames_get_clean_error_replies_never_panics_or_wrong_answers() {
 
 #[test]
 fn frozen_namespace_from_saved_index_serves_identically() {
-    // The "build once, ship to replicas" path: save an Oracle, load it
-    // as a replica would, serve the loaded copy, and cross-check.
+    // The "build once, ship to replicas" path: save an Oracle, open it
+    // as a replica would, serve the opened copy, and cross-check.
     let g = random_cyclic_digraph(32, 100, 21);
     let original = Oracle::new(&g);
     let mut blob = Vec::new();
-    original.save(&mut blob).unwrap();
-    let replica = Oracle::load(std::io::Cursor::new(&blob)).unwrap();
+    original.save_arena(&mut blob).unwrap();
+    let replica = Oracle::open_arena_bytes(&blob).unwrap();
 
     let registry = Registry::new();
     registry.insert_frozen("replica", replica).unwrap();
@@ -393,48 +393,6 @@ fn mapped_arena_index_serves_and_reports_its_backend() {
     assert!(stats.heap_bytes > 0, "{stats:?}");
     handle.shutdown();
     handle2.shutdown();
-}
-
-#[test]
-fn pr3_era_index_without_signature_section_serves_over_the_wire() {
-    // Backward compat: an index written before the rank-band signature
-    // layer existed (byte-wise: today's format minus the trailing SIGS
-    // section) must load, rebuild its signatures on the fly, and serve
-    // correct answers — with the STATS stage counters accounting every
-    // query.
-    let g = random_cyclic_digraph(32, 100, 22);
-    let original = Oracle::new(&g);
-    let mut blob = Vec::new();
-    original.save(&mut blob).unwrap();
-    // The SIGS section covers the condensation components (one u64 per
-    // side per component) plus magic, shift, and count.
-    let sig_section = 4 + 4 + 8 + 16 * original.num_components();
-    blob.truncate(blob.len() - sig_section);
-    let replica = Oracle::load(std::io::Cursor::new(&blob)).expect("legacy index loads");
-
-    let registry = Registry::new();
-    registry.insert_frozen("legacy", replica).unwrap();
-    let handle = serve(registry);
-    let mut client = Client::connect(handle.local_addr()).unwrap();
-    let pairs: Vec<(u32, u32)> = (0..32u32)
-        .flat_map(|u| (0..32u32).map(move |v| (u, v)))
-        .collect();
-    let answers = client.reach_batch("legacy", &pairs).unwrap();
-    for (&(u, v), &got) in pairs.iter().zip(&answers) {
-        assert_eq!(got, traversal::reaches(&g, u, v), "({u},{v})");
-    }
-    let stats = client.stats("legacy").unwrap();
-    assert_eq!(stats.queries, pairs.len() as u64);
-    assert_eq!(
-        stats.filter_hits + stats.signature_hits + stats.merge_runs,
-        pairs.len() as u64,
-        "every query dies in exactly one stage: {stats:?}"
-    );
-    assert!(
-        stats.signature_bytes > 0,
-        "rebuilt signatures must be reported: {stats:?}"
-    );
-    handle.shutdown();
 }
 
 #[test]
