@@ -407,7 +407,7 @@ fn table1(cfg: &RunConfig) {
     );
 }
 
-/// Ablation tables for the design choices DESIGN.md calls out:
+/// Ablation tables for the paper's tunable design choices:
 /// DL vertex order (§5.2), HL backbone locality ε and core-size stop
 /// rule (§4.1), and the Formula-3 core labeler (Algorithm 1, Line 2).
 /// Complements the Criterion benches with paper-style tables.

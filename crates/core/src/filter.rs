@@ -41,7 +41,7 @@
 
 use hoplite_graph::{Dag, VertexId};
 
-use crate::store::{MemorySplit, Store, StoreBackend};
+use crate::store::{prefetch, MemorySplit, Store, StoreBackend};
 
 /// Which pre-filter layer decided a query, if any.
 ///
@@ -339,26 +339,19 @@ impl QueryFilters {
         8 * self.recs.len() as u64
     }
 
-    /// Hints the CPU to pull `u`'s and `v`'s records toward L1 — the
-    /// batch paths issue this a dozen queries ahead so the record
-    /// loads in [`QueryFilters::check`] hit cache instead of stalling
-    /// (the record array outgrows L2 on bench-scale graphs). Purely a
-    /// hint: no-op off x86_64, never dereferences, and out-of-range
-    /// ids are harmless (the address is computed without `add`'s
-    /// in-bounds contract).
+    /// Hints the CPU to pull `u`'s and `v`'s records toward L1. The
+    /// staged batch kernel ([`crate::parallel`]) issues this for a
+    /// whole group of queries one group before it runs
+    /// [`QueryFilters::check`] on them, so the record loads hit cache
+    /// instead of stalling (the record array outgrows L2 on
+    /// bench-scale graphs). Purely a hint: no-op off x86_64, never
+    /// dereferences, and out-of-range ids are harmless (the address is
+    /// computed with `wrapping_add`, outside `add`'s in-bounds
+    /// contract).
     #[inline]
     pub fn prefetch(&self, u: VertexId, v: VertexId) {
-        #[cfg(target_arch = "x86_64")]
-        unsafe {
-            use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-            let base = self.recs.as_ptr();
-            _mm_prefetch(base.wrapping_add(u as usize) as *const i8, _MM_HINT_T0);
-            _mm_prefetch(base.wrapping_add(v as usize) as *const i8, _MM_HINT_T0);
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        {
-            let _ = (u, v);
-        }
+        prefetch(&self.recs, u as usize);
+        prefetch(&self.recs, v as usize);
     }
 
     /// Negative cut: `true` ⇒ `u` does **not** reach `v` (`u ≠ v`).

@@ -29,7 +29,7 @@
 use hoplite_graph::VertexId;
 
 use crate::stats::LabelStats;
-use crate::store::{MemorySplit, Store, StoreBackend};
+use crate::store::{prefetch, MemorySplit, Store, StoreBackend};
 
 /// Lists whose length ratio is at least this gallop instead of merging
 /// (`O(s·log(L/s))` beats `O(s + L)` only on real skew).
@@ -334,9 +334,7 @@ impl Labeling {
     /// to the size-adaptive intersection kernel.
     #[inline]
     pub fn query(&self, u: VertexId, v: VertexId) -> bool {
-        u == v
-            || (self.out_sigs[u as usize] & self.in_sigs[v as usize] != 0
-                && sorted_intersect_adaptive(self.out_label(u), self.in_label(v)))
+        u == v || (self.signatures_meet(u, v) && self.lists_meet(u, v))
     }
 
     /// [`Self::query`] that also reports which stage decided — the
@@ -347,13 +345,46 @@ impl Labeling {
         if u == v {
             return (true, LabelPath::Reflexive);
         }
-        if self.out_sigs[u as usize] & self.in_sigs[v as usize] == 0 {
+        if !self.signatures_meet(u, v) {
             return (false, LabelPath::SignatureCut);
         }
-        (
-            sorted_intersect_adaptive(self.out_label(u), self.in_label(v)),
-            LabelPath::Merge,
-        )
+        (self.lists_meet(u, v), LabelPath::Merge)
+    }
+
+    /// The signature stage of [`Self::query`]: `false` proves
+    /// `L_out(u)` and `L_in(v)` disjoint.
+    #[inline]
+    pub(crate) fn signatures_meet(&self, u: VertexId, v: VertexId) -> bool {
+        self.out_sigs[u as usize] & self.in_sigs[v as usize] != 0
+    }
+
+    /// The merge stage of [`Self::query`]: do `L_out(u)` and `L_in(v)`
+    /// intersect?
+    #[inline]
+    pub(crate) fn lists_meet(&self, u: VertexId, v: VertexId) -> bool {
+        sorted_intersect_adaptive(self.out_label(u), self.in_label(v))
+    }
+
+    /// Prefetch hint for the lines [`Self::signatures_meet`] and then
+    /// [`Self::lists_meet`] load first: the signature words and CSR
+    /// offsets of `L_out(u)` and `L_in(v)`. Never dereferences (see
+    /// [`crate::store`]'s `prefetch`).
+    #[inline]
+    pub(crate) fn prefetch_heads(&self, u: VertexId, v: VertexId) {
+        prefetch(&self.out_sigs, u as usize);
+        prefetch(&self.in_sigs, v as usize);
+        prefetch(&self.out_offsets, u as usize);
+        prefetch(&self.in_offsets, v as usize);
+    }
+
+    /// Prefetch hint for the first line of both hop lists
+    /// [`Self::lists_meet`] merges. Reads the two list starts from the
+    /// CSR offsets with bounds-checked loads; the hop lines themselves
+    /// are only hinted.
+    #[inline]
+    pub(crate) fn prefetch_lists(&self, u: VertexId, v: VertexId) {
+        prefetch(&self.out_hops, self.out_offsets[u as usize] as usize);
+        prefetch(&self.in_hops, self.in_offsets[v as usize] as usize);
     }
 
     /// [`Self::query`] with the signature rejection disabled — always

@@ -141,25 +141,20 @@ impl ArenaBuf {
         if len > usize::MAX as u64 {
             return Err(std::io::Error::other("file exceeds the address space"));
         }
-        Self::from_prefix_and_reader(&[], len as usize, &mut file)
+        Self::from_reader(len as usize, &mut file)
     }
 
-    /// Fills an aligned buffer of exactly `total_len` bytes from
-    /// `prefix` followed by `r`. Errors (without leaking) if `r` ends
-    /// early or an allocation fails.
+    /// Fills an aligned buffer of exactly `total_len` bytes from `r`.
+    /// Errors (without leaking) if `r` ends early or an allocation
+    /// fails.
     ///
     /// The claimed length is *not* trusted up front: the buffer grows
     /// geometrically (starting at 4 MiB) and only ever exceeds the
     /// bytes actually received by a constant factor, so a hostile
     /// stream whose header claims terabytes fails at the EOF it
     /// implies instead of forcing a terabyte allocation.
-    pub fn from_prefix_and_reader(
-        prefix: &[u8],
-        total_len: usize,
-        r: &mut impl Read,
-    ) -> std::io::Result<ArenaBuf> {
+    pub fn from_reader(total_len: usize, r: &mut impl Read) -> std::io::Result<ArenaBuf> {
         const INITIAL_CAP: usize = 4 << 20;
-        assert!(prefix.len() <= total_len, "prefix exceeds the total");
         if total_len == 0 {
             return Ok(ArenaBuf::from_bytes(&[]));
         }
@@ -173,7 +168,7 @@ impl ArenaBuf {
             }
             Ok(ptr)
         };
-        let mut cap = total_len.min(INITIAL_CAP.max(prefix.len()));
+        let mut cap = total_len.min(INITIAL_CAP);
         let mut ptr = alloc_aligned(cap)?;
         // Wrap immediately so every early return frees the buffer;
         // `len` tracks the capacity until the final resize.
@@ -182,11 +177,7 @@ impl ArenaBuf {
             len: cap,
             kind: BufKind::Heap,
         };
-        // SAFETY: ptr is valid for cap writes; the slice is re-derived
-        // after every growth.
-        let head = unsafe { std::slice::from_raw_parts_mut(ptr, cap) };
-        head[..prefix.len()].copy_from_slice(prefix);
-        let mut filled = prefix.len();
+        let mut filled = 0;
         while filled < total_len {
             if filled == cap {
                 let new_cap = (cap * 2).min(total_len);
@@ -551,6 +542,27 @@ impl<T: Pod> From<Vec<T>> for Store<T> {
     }
 }
 
+/// Cache-prefetch hint for `slice[i]`'s line — the batch kernel's
+/// only tool (see [`crate::parallel`]). Purely advisory: a no-op off
+/// x86_64, never dereferences, and an out-of-range `i` is harmless
+/// (the address is computed with `wrapping_add`, outside `add`'s
+/// in-bounds contract). The real load that follows stays
+/// bounds-checked.
+#[inline]
+pub(crate) fn prefetch<T>(slice: &[T], i: usize) {
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: `_mm_prefetch` is a hint that cannot fault, whatever the
+    // address.
+    unsafe {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        _mm_prefetch(slice.as_ptr().wrapping_add(i) as *const i8, _MM_HINT_T0);
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        let _ = (slice, i);
+    }
+}
+
 /// Heap-vs-mapped byte split of an index component — the unit the
 /// memory-accounting satellite APIs ([`crate::Oracle::memory`],
 /// [`crate::LabelStats`], the server `STATS` reply) report in.
@@ -795,18 +807,16 @@ mod tests {
     }
 
     #[test]
-    fn from_prefix_and_reader_concatenates() {
-        let tail = [5u8; 100];
-        let buf =
-            ArenaBuf::from_prefix_and_reader(&[1, 2, 3], 103, &mut std::io::Cursor::new(&tail))
-                .unwrap();
-        assert_eq!(&buf.bytes()[..3], &[1, 2, 3]);
-        assert_eq!(&buf.bytes()[3..], &tail[..]);
+    fn from_reader_fills_exactly_the_claimed_length() {
+        // Longer than the initial capacity, so the buffer must grow.
+        let data: Vec<u8> = (0..(9 << 20)).map(|i| (i % 251) as u8).collect();
+        let buf = ArenaBuf::from_reader(data.len(), &mut std::io::Cursor::new(&data)).unwrap();
+        assert_eq!(buf.bytes(), &data[..]);
         // Short reader errors instead of returning a half-filled buffer.
-        assert!(
-            ArenaBuf::from_prefix_and_reader(&[], 10, &mut std::io::Cursor::new(&[0u8; 4]))
-                .is_err()
-        );
+        assert!(ArenaBuf::from_reader(10, &mut std::io::Cursor::new(&[0u8; 4])).is_err());
+        // A claimed length far beyond what the stream holds fails at its
+        // EOF without first allocating the claim.
+        assert!(ArenaBuf::from_reader(usize::MAX / 2, &mut std::io::Cursor::new(&data)).is_err());
     }
 
     #[test]

@@ -1,7 +1,10 @@
 //! Seeded synthetic DAG generators.
 //!
 //! These stand in for the paper's real-world datasets (Table 1), one
-//! generator family per dataset family — see `DESIGN.md` §4:
+//! generator family per dataset family. The real graphs do not ship
+//! with the repository, so each family reproduces the traits that
+//! drive label size and query cost — edge density, degree skew, and
+//! depth:
 //!
 //! * [`tree_plus_dag`] — metabolic / ontology graphs (agrocyc, kegg,
 //!   ecoo, go_uniprot, uniprotenc…): |E| ≈ |V|, shallow and tree-like.

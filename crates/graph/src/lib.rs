@@ -19,8 +19,9 @@
 //!   materialization (ground truth for tests; substrate for the
 //!   transitive-closure-compression baselines).
 //! * [`gen`] — seeded synthetic DAG generators standing in for the
-//!   paper's real-world datasets (see `DESIGN.md` §4 for the
-//!   substitution rationale).
+//!   paper's real-world datasets, which do not ship with the
+//!   repository; each family reproduces the density, degree skew, and
+//!   depth of the graphs it replaces.
 //! * [`io`] — edge-list and `.gra` (GRAIL/SCARAB) format readers and
 //!   writers.
 //!

@@ -26,7 +26,7 @@
 //! 3. runs each namespace's gathered batch through one
 //!    [`NamespaceHandle::reach_batch`] call (i.e.
 //!    `hoplite_core::parallel::par_query_batch_mapped` at the
-//!    configured fan-out), so the prefetch-pipelined adaptive kernel
+//!    configured fan-out), so the staged group-prefetch kernel
 //!    sees deep batches even when every client sends one-pair frames;
 //! 4. scatters the answers back, encoding each connection's replies
 //!    **in its own request order** (the protocol guarantee; across

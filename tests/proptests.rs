@@ -54,7 +54,8 @@ proptest! {
     /// The signature-accelerated hot path (`Oracle::reaches`), the
     /// filter-free label path (`reaches_unfiltered`, signatures on),
     /// the signature-free kernel (`Labeling::query_unsigned`), the
-    /// tallied batch path, and BFS ground truth all agree on random
+    /// batch paths (filtered, unfiltered and tallied, at 1 and 3
+    /// threads), and BFS ground truth all agree on random
     /// *cyclic* digraphs — the signature layer may only reject pairs
     /// whose lists are truly disjoint.
     #[test]
@@ -77,9 +78,18 @@ proptest! {
                 truth.push(t);
             }
         }
-        let (answers, tally) = oracle.reaches_batch_tallied(&pairs, 3);
-        prop_assert_eq!(answers, truth, "tallied batch");
-        prop_assert_eq!(tally.total(), pairs.len() as u64);
+        for threads in [1, 3] {
+            let (answers, tally) = oracle.reaches_batch_tallied(&pairs, threads);
+            prop_assert_eq!(&answers, &truth, "tallied batch, threads={}", threads);
+            prop_assert_eq!(tally.total(), pairs.len() as u64);
+            prop_assert_eq!(&oracle.reaches_batch(&pairs, threads), &truth, "batch, threads={}", threads);
+            prop_assert_eq!(
+                &oracle.reaches_batch_unfiltered(&pairs, threads),
+                &truth,
+                "unfiltered batch, threads={}",
+                threads
+            );
+        }
     }
 
     /// The flagship invariant: both of the paper's oracles agree with
