@@ -1,6 +1,6 @@
 //! Chain-cover compression of the transitive closure (Jagadish,
 //! TODS 1990) — the paper's §2.1 "chain compression" family
-//! (references [18] and [7]).
+//! (references \[18\] and \[7\]).
 //!
 //! The DAG is decomposed into vertex-disjoint *chains* (paths along
 //! edges). For every vertex `u` and every chain `c`, all of `TC(u)`'s

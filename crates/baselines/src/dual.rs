@@ -1,4 +1,4 @@
-//! Dual-Labeling (Wang et al., ICDE 2006) — the paper's reference [36],
+//! Dual-Labeling (Wang et al., ICDE 2006) — the paper's reference \[36\],
 //! listed in §2.1 as a representative transitive-closure compression.
 //!
 //! Dual labeling targets *sparse* DAGs where the number of non-tree

@@ -6,8 +6,8 @@
 //! | module | paper column | approach |
 //! |---|---|---|
 //! | [`online`] | (DFS/BFS) | index-free online search |
-//! | [`chain`] | (§2.1 [18,7]) | Jagadish chain-cover compressed TC |
-//! | [`dual`] | (§2.1 [36]) | dual labeling: tree intervals + link closure |
+//! | [`chain`] | (§2.1 \[18,7\]) | Jagadish chain-cover compressed TC |
+//! | [`dual`] | (§2.1 \[36\]) | dual labeling: tree intervals + link closure |
 //! | [`grail`] | GL | GRAIL random-interval labels + pruned DFS |
 //! | [`interval`] | INT | Nuutila post-order interval compression |
 //! | [`pathtree`] | PT | path-decomposition (chain) compressed TC |

@@ -561,7 +561,7 @@ fn ablation(cfg: &RunConfig) {
 
 /// Extended small-graph suite: the paper's 12 columns plus the §2.1
 /// TC-compression references it describes but does not re-run — dual
-/// labeling [36] and chain-cover compression [18,7].
+/// labeling \[36\] and chain-cover compression \[18,7\].
 fn extras(cfg: &RunConfig) {
     let specs = small_datasets();
     eprintln!(
@@ -590,7 +590,7 @@ fn extras(cfg: &RunConfig) {
 
 /// Recursive SCARAB study. §2.3 observes that "theoretically, the
 /// reachability backbone could be applied recursively; this may
-/// further slow down query performance. In [23], this option is not
+/// further slow down query performance. In \[23\], this option is not
 /// studied." — here we measure it: GRAIL behind a depth-0/1/2
 /// backbone stack, reporting backbone size, build time, and
 /// equal-load query time per depth.

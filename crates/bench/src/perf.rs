@@ -182,7 +182,7 @@ pub struct ColdStart {
 }
 
 /// The metrics-overhead stage: the filtered batch hot path chunked at
-/// [`OVERHEAD_CHUNK_PAIRS`] pairs, once with a per-chunk
+/// `OVERHEAD_CHUNK_PAIRS` pairs, once with a per-chunk
 /// [`Histogram`] record and once without, interleaved best-of like the
 /// build engines so both see the same machine-load phases.
 #[derive(Clone, Debug)]
@@ -197,7 +197,7 @@ pub struct MetricsOverhead {
 
 impl MetricsOverhead {
     /// `instrumented_qps / plain_qps` — `--check` requires
-    /// [`OVERHEAD_FLOOR`].
+    /// `OVERHEAD_FLOOR`.
     pub fn ratio(&self) -> f64 {
         self.instrumented_qps / self.plain_qps.max(f64::MIN_POSITIVE)
     }
@@ -212,7 +212,7 @@ impl MetricsOverhead {
 /// mutation is logged to the WAL before it is acknowledged) and the
 /// read-latency tail — overall and, separately, for reads that
 /// overlapped an in-flight rebuild, the tail `--check` holds to
-/// [`READ_STALL_BOUND_NS`]: readers must answer through the delta
+/// `READ_STALL_BOUND_NS`: readers must answer through the delta
 /// overlay, never block behind the reindex.
 #[derive(Clone, Debug)]
 pub struct DynamicStage {
@@ -411,7 +411,7 @@ pub struct PerfReport {
     /// Cold-start stage on the headline index (mapped arena open).
     pub cold_start: ColdStart,
     /// Thread-scaling curve (build + query) on the headline workload,
-    /// one step per [`SCALING_WIDTHS`] entry.
+    /// one step per `SCALING_WIDTHS` entry.
     pub scaling: Vec<ScalingStep>,
     /// Instrumented vs plain chunked query throughput on the headline
     /// workload.

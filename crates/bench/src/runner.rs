@@ -48,9 +48,9 @@ pub enum MethodId {
     Hl,
     /// Distribution-Labeling (DL) — this paper.
     Dl,
-    /// Dual labeling (§2.1 reference [36]; `paper extras` column).
+    /// Dual labeling (§2.1 reference \[36\]; `paper extras` column).
     Dual,
-    /// Chain-cover compression (§2.1 references [18,7]; `paper extras`
+    /// Chain-cover compression (§2.1 references \[18,7\]; `paper extras`
     /// column).
     Chain,
 }

@@ -66,7 +66,7 @@ pub use pool::ThreadPool;
 pub use protocol::{
     ErrorCode, FrameAccumulator, IndexBackend, MetricsReport, MetricsSummary, NamespaceInfo,
     NamespaceKind, NamespaceStats, Request, Response, WireError, MAX_BATCH_PAIRS, MAX_FRAME_LEN,
-    MAX_NAME_LEN, PROTOCOL_VERSION, PROTOCOL_VERSION_MIN,
+    MAX_NAME_LEN, PROTOCOL_VERSION,
 };
 pub use registry::{NamespaceHandle, Registry, ServeError};
 pub use server::{ServeMode, Server, ServerConfig, ServerHandle};

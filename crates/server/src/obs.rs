@@ -4,7 +4,8 @@
 //! Three concerns live here, all allocation-free on the hot path:
 //!
 //! * **A leveled structured logger** — [`log`] plus the
-//!   [`log_error!`]/[`log_warn!`]/[`log_info!`]/[`log_debug!`] macros —
+//!   [`log_error!`](crate::log_error)/[`log_warn!`](crate::log_warn)/
+//!   [`log_info!`](crate::log_info)/[`log_debug!`](crate::log_debug) macros —
 //!   writing `timestamp LEVEL [context] message` lines to stderr. The
 //!   threshold comes from `HOPLITE_LOG` (`debug|info|warn|error`,
 //!   default `info`), read once per process. Timestamps are UTC,
@@ -17,11 +18,11 @@
 //!   [`SlowLog`] keeping the worst queries seen). Every member is a
 //!   lock-free [`Counter`] or [`Histogram`]; the slow log takes its
 //!   mutex only when a query beats the current worst-N floor.
-//! * **Exposition** — [`collect_metrics`] folds everything into the
+//! * **Exposition** — `collect_metrics` folds everything into the
 //!   wire-level [`MetricsReport`] served by the `METRICS` op, and
 //!   [`render_prometheus`] turns that report into Prometheus-style
 //!   text for the `--metrics-addr` HTTP endpoint
-//!   ([`spawn_metrics_http`], a deliberately tiny HTTP/1.0 `GET
+//!   (`spawn_metrics_http`, a deliberately tiny HTTP/1.0 `GET
 //!   /metrics` responder).
 
 use std::fmt;
@@ -98,7 +99,7 @@ pub fn log_enabled(level: LogLevel) -> bool {
 /// Emits one structured line to stderr:
 /// `2026-08-07T12:34:56.789Z INFO [serve] message`. The `context`
 /// names the subsystem or connection the message is about. Prefer the
-/// [`log_info!`]-family macros, which format lazily.
+/// [`log_info!`](crate::log_info)-family macros, which format lazily.
 pub fn log(level: LogLevel, context: &str, message: fmt::Arguments<'_>) {
     if !log_enabled(level) {
         return;

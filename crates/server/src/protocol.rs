@@ -1,5 +1,5 @@
-//! The hoplite wire protocol: small, versioned, length-prefixed
-//! binary frames.
+//! The hoplite wire protocol: small, length-prefixed binary frames in
+//! one dialect, [`PROTOCOL_VERSION`].
 //!
 //! Every message — request or response — travels as one frame:
 //!
@@ -20,58 +20,31 @@
 //! | `0x05` | `REMOVE_EDGE` | `name u:u32 v:u32`           |
 //! | `0x06` | `STATS`       | `name`                       |
 //! | `0x07` | `LIST`        | —                            |
-//! | `0x08` | `METRICS`     | `name` (empty ⇒ server-wide; v4+) |
+//! | `0x08` | `METRICS`     | `name` (empty ⇒ server-wide) |
 //!
 //! Response opcodes: `0x81 PONG`, `0x82 BOOL (b:u8)`, `0x83 BOOLS
 //! (k:u32 + ⌈k/8⌉ LSB-first packed bytes)`, `0x86 STATS`, `0x87 LIST`,
-//! `0x88 METRICS (v4+)`, `0xEE ERROR (msg as u16-prefixed UTF-8)`,
-//! `0xEF FAIL (code:u8 retry_after_ms:u32 msg; v6+)` — the machine-
-//! readable refusal the overload-control layer speaks.
+//! `0x88 METRICS`, `0xEE ERROR (msg as u16-prefixed UTF-8)`,
+//! `0xEF FAIL (code:u8 retry_after_ms:u32 msg)` — the machine-readable
+//! refusal the overload-control layer speaks.
 //!
-//! Decoding is strict: bad version, unknown opcode, short bodies,
-//! trailing bytes, oversized counts, non-zero padding bits, and
-//! non-UTF-8 names are all [`WireError`]s — never panics. The server
-//! turns them into `ERROR` replies; framing stays intact because the
-//! length prefix already delimited the bad payload.
+//! Decoding is strict: a version byte other than [`PROTOCOL_VERSION`],
+//! an unknown opcode, short bodies, trailing bytes, oversized counts,
+//! non-zero padding bits, and non-UTF-8 names are all [`WireError`]s —
+//! never panics. The server turns them into `ERROR` replies; framing
+//! stays intact because the length prefix already delimited the bad
+//! payload.
 
 use std::fmt;
 use std::io::{self, Read, Write};
 
-/// Current wire protocol version — what this side encodes by default.
-///
-/// Version history: `1` — the original opcode set; `2` — the `STATS`
-/// reply body grew four `u64` fields (signature bytes and the
-/// filter/signature/merge death counters); `3` — the `STATS` reply
-/// grew the storage-backend report (`backend:u8` +
-/// `heap_bytes`/`mapped_bytes:u64`, the heap-vs-mapped split of a
-/// namespace's index arrays); `4` — the `METRICS` op (`0x08` /
-/// `0x88`): a named counter + latency-histogram-summary dump of the
-/// server's observability layer, and the first version to *accept*
-/// its predecessor — decoders take any version in
-/// [`PROTOCOL_VERSION_MIN`]`..=`[`PROTOCOL_VERSION`], the server
-/// echoes the request's version in its reply (so a strict v3 client
-/// still parses every answer), and the `METRICS` opcode itself
-/// requires v4 (a v3 frame carrying it gets
-/// [`WireError::UnknownOpcode`], exactly what a v3-era server would
-/// have said). Anything outside the window is a clean
-/// [`WireError::Version`] instead of a confusing
-/// trailing-bytes/short-body error; `5` — the `STATS` reply grew the
-/// durability/rebuild report (`wal_bytes`, `wal_records`, `rebuilds`
-/// as `u64` + `rebuild_in_flight:u8`), encoded only when the frame
-/// speaks v5 — a v3/v4 `STATS` reply stays byte-identical and older
-/// decoders keep parsing; `6` — the coded-failure reply (`0xEF FAIL`:
-/// `code:u8 retry_after_ms:u32 msg`), letting overload control speak
-/// machine-readable refusals — `DEADLINE_EXCEEDED` (the frame aged
-/// out before dispatch; not retryable, the work was never done),
-/// `OVERLOADED` (shed by admission control; retry after the hint),
-/// and `NOT_READY` (WAL replay or startup still in progress). A
-/// pre-v6 frame carries the same refusal as a plain `ERROR` with the
-/// code name prefixed to the text, so strict older decoders keep
-/// parsing and humans keep reading.
+/// The one wire protocol version: every frame, request or reply,
+/// carries it as its first payload byte, and it is the only version
+/// either side accepts. A payload with any other version byte fails to
+/// decode as [`WireError::Version`]; the server answers it with a
+/// `bad request` `ERROR` and keeps the connection open. A change to
+/// any frame layout bumps this number and retires the old one.
 pub const PROTOCOL_VERSION: u8 = 6;
-/// Oldest protocol version decoders still accept (see the version
-/// history on [`PROTOCOL_VERSION`]).
-pub const PROTOCOL_VERSION_MIN: u8 = 3;
 /// Hard ceiling on a frame payload; larger length prefixes are
 /// rejected before any allocation.
 pub const MAX_FRAME_LEN: u32 = 16 * 1024 * 1024;
@@ -98,12 +71,6 @@ const RE_METRICS: u8 = 0x88;
 const RE_ERROR: u8 = 0xEE;
 const RE_FAIL: u8 = 0xEF;
 
-/// Is `version` inside the accepted decode window?
-#[inline]
-pub(crate) fn version_accepted(version: u8) -> bool {
-    (PROTOCOL_VERSION_MIN..=PROTOCOL_VERSION).contains(&version)
-}
-
 /// Anything that can go wrong speaking the protocol.
 #[derive(Debug)]
 pub enum WireError {
@@ -116,7 +83,7 @@ pub enum WireError {
         /// Maximum the reader accepts.
         max: u32,
     },
-    /// Payload carried an unsupported protocol version.
+    /// Payload carried a version byte other than [`PROTOCOL_VERSION`].
     Version(u8),
     /// Payload carried an opcode this side does not know.
     UnknownOpcode(u8),
@@ -134,8 +101,8 @@ impl fmt::Display for WireError {
             WireError::Version(v) => {
                 write!(
                     f,
-                    "unsupported protocol version {v} (speaker supports \
-                     {PROTOCOL_VERSION_MIN}..={PROTOCOL_VERSION})"
+                    "unsupported protocol version {v} (only version \
+                     {PROTOCOL_VERSION} is spoken)"
                 )
             }
             WireError::UnknownOpcode(op) => write!(f, "unknown opcode 0x{op:02x}"),
@@ -182,6 +149,21 @@ pub fn read_frame<R: Read>(r: &mut R, max_len: u32) -> Result<Vec<u8>, WireError
     let mut buf = vec![0u8; len as usize];
     r.read_exact(&mut buf)?;
     Ok(buf)
+}
+
+/// Appends `response` to `out` as one length-prefixed reply frame — the
+/// reply encoder of both serve loops. A reply that cannot encode (an
+/// answer batch over [`MAX_BATCH_PAIRS`]) goes out as an
+/// `internal encode failure` `ERROR` instead.
+pub(crate) fn encode_reply_frame(out: &mut Vec<u8>, response: &Response) {
+    let payload = response.encode().unwrap_or_else(|e| {
+        Response::Error(format!("internal encode failure: {e}"))
+            .encode()
+            .expect("plain error replies always encode")
+    });
+    out.reserve(4 + payload.len());
+    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    out.extend_from_slice(&payload);
 }
 
 /// Incremental frame decoder for nonblocking transports.
@@ -303,6 +285,14 @@ impl<'a> ByteReader<'a> {
 
     fn u8(&mut self) -> Result<u8, WireError> {
         Ok(self.take(1)?[0])
+    }
+
+    /// The leading version byte, which must be [`PROTOCOL_VERSION`].
+    fn version(&mut self) -> Result<(), WireError> {
+        match self.u8()? {
+            PROTOCOL_VERSION => Ok(()),
+            other => Err(WireError::Version(other)),
+        }
     }
 
     fn u16(&mut self) -> Result<u16, WireError> {
@@ -523,9 +513,9 @@ impl fmt::Display for IndexBackend {
     }
 }
 
-/// Machine-readable refusal category carried by a `FAIL` reply
-/// (protocol v6+). The code tells the client *what to do next* —
-/// retry, back off, or give up — independent of the advisory text.
+/// Machine-readable refusal category carried by a `FAIL` reply. The
+/// code tells the client *what to do next* — retry, back off, or give
+/// up — independent of the advisory text.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ErrorCode {
     /// The frame sat queued past [`request deadline`] and was dropped
@@ -614,15 +604,14 @@ pub struct NamespaceStats {
     /// `Oracle::open`); these are page cache, shared across every
     /// replica and namespace serving the same file.
     pub mapped_bytes: u64,
-    /// Dynamic + durable only: bytes in the current WAL generation
-    /// (protocol v5+; zero when decoded from an older frame).
+    /// Dynamic + durable only: bytes in the current WAL generation.
     pub wal_bytes: u64,
     /// Dynamic + durable only: mutations logged over the namespace's
-    /// lifetime, monotonic across checkpoint rotations (v5+).
+    /// lifetime, monotonic across checkpoint rotations.
     pub wal_records: u64,
-    /// Dynamic only: background rebuilds published (v5+).
+    /// Dynamic only: background rebuilds published.
     pub rebuilds: u64,
-    /// Dynamic only: is a background rebuild running right now? (v5+).
+    /// Dynamic only: is a background rebuild running right now?
     pub rebuild_in_flight: bool,
 }
 
@@ -751,10 +740,9 @@ pub enum Request {
     },
     /// Enumerate namespaces.
     List,
-    /// Observability dump (protocol v4+): counters and latency
-    /// histogram summaries. An empty `ns` asks for the server-wide
-    /// report (reactor + every namespace); a name scopes the report to
-    /// that namespace's series.
+    /// Observability dump: counters and latency histogram summaries.
+    /// An empty `ns` asks for the server-wide report (reactor + every
+    /// namespace); a name scopes the report to that namespace's series.
     Metrics {
         /// Namespace name, or empty for server-wide.
         ns: String,
@@ -813,23 +801,10 @@ impl Request {
         Ok(out)
     }
 
-    /// Decodes a frame payload, validating strictly. Accepts any
-    /// version in [`PROTOCOL_VERSION_MIN`]`..=`[`PROTOCOL_VERSION`];
-    /// callers that must echo the sender's version use
-    /// [`Self::decode_with_version`].
+    /// Decodes a frame payload, validating strictly.
     pub fn decode(payload: &[u8]) -> Result<Request, WireError> {
-        Self::decode_with_version(payload).map(|(req, _)| req)
-    }
-
-    /// [`Self::decode`] that also returns the version byte the sender
-    /// spoke — the server encodes its reply in that same version, so
-    /// strict older-version clients keep parsing every answer.
-    pub fn decode_with_version(payload: &[u8]) -> Result<(Request, u8), WireError> {
         let mut r = ByteReader::new(payload);
-        let version = r.u8()?;
-        if !version_accepted(version) {
-            return Err(WireError::Version(version));
-        }
+        r.version()?;
         let opcode = r.u8()?;
         let req = match opcode {
             OP_PING => Request::Ping,
@@ -880,13 +855,11 @@ impl Request {
             }
             OP_STATS => Request::Stats { ns: r.name()? },
             OP_LIST => Request::List,
-            // METRICS arrived in v4; to a v3 frame it is exactly an
-            // unknown opcode, same as a v3-era server would have said.
-            OP_METRICS if version >= 4 => Request::Metrics { ns: r.name()? },
+            OP_METRICS => Request::Metrics { ns: r.name()? },
             other => return Err(WireError::UnknownOpcode(other)),
         };
         r.finish()?;
-        Ok((req, version))
+        Ok(req)
     }
 }
 
@@ -907,15 +880,14 @@ pub enum Response {
     Stats(NamespaceStats),
     /// Reply to `LIST`.
     List(Vec<NamespaceInfo>),
-    /// Reply to `METRICS` (protocol v4+).
+    /// Reply to `METRICS`.
     Metrics(MetricsReport),
     /// Any request can fail; the message is human-readable.
     Error(String),
-    /// A coded refusal (protocol v6+): the overload-control layer's
-    /// reply when a frame is shed, aged out, or arrives before the
-    /// server is ready. `retry_after_ms` is an advisory backoff hint
-    /// (zero when retrying is pointless). Encoded to a pre-v6 peer as
-    /// a plain [`Response::Error`] with the code name prefixed.
+    /// A coded refusal: the overload-control layer's reply when a
+    /// frame is shed, aged out, or arrives before the server is ready.
+    /// `retry_after_ms` is an advisory backoff hint (zero when retrying
+    /// is pointless).
     Fail {
         /// What kind of refusal this is.
         code: ErrorCode,
@@ -955,25 +927,9 @@ impl Response {
         }
     }
 
-    /// Encodes into a frame payload (version + opcode + body) speaking
-    /// the current [`PROTOCOL_VERSION`].
+    /// Encodes into a frame payload (version + opcode + body).
     pub fn encode(&self) -> Result<Vec<u8>, WireError> {
-        self.encode_versioned(PROTOCOL_VERSION)
-    }
-
-    /// Encodes speaking an explicit accepted `version` — the server's
-    /// reply path, which echoes whatever version the request spoke so
-    /// strict older-version decoders keep parsing.
-    pub fn encode_versioned(&self, version: u8) -> Result<Vec<u8>, WireError> {
-        if !version_accepted(version) {
-            return Err(WireError::Version(version));
-        }
-        if version < 4 && matches!(self, Response::Metrics(_)) {
-            return Err(WireError::Malformed(
-                "METRICS reply requires protocol v4".into(),
-            ));
-        }
-        let mut out = vec![version];
+        let mut out = vec![PROTOCOL_VERSION];
         match self {
             Response::Pong => out.push(RE_PONG),
             Response::Bool(b) => {
@@ -1005,12 +961,10 @@ impl Response {
                 out.push(s.backend.to_u8());
                 put_u64(&mut out, s.heap_bytes);
                 put_u64(&mut out, s.mapped_bytes);
-                if version >= 5 {
-                    put_u64(&mut out, s.wal_bytes);
-                    put_u64(&mut out, s.wal_records);
-                    put_u64(&mut out, s.rebuilds);
-                    out.push(s.rebuild_in_flight as u8);
-                }
+                put_u64(&mut out, s.wal_bytes);
+                put_u64(&mut out, s.wal_records);
+                put_u64(&mut out, s.rebuilds);
+                out.push(s.rebuild_in_flight as u8);
             }
             Response::List(infos) => {
                 out.push(RE_LIST);
@@ -1044,31 +998,19 @@ impl Response {
                 retry_after_ms,
                 message,
             } => {
-                if version >= 6 {
-                    out.push(RE_FAIL);
-                    out.push(code.to_u8());
-                    put_u32(&mut out, *retry_after_ms);
-                    put_text(&mut out, message);
-                } else {
-                    // Pre-v6 peers get the refusal as a plain ERROR
-                    // with the code name prefixed — still readable,
-                    // still a refusal, just not machine-actionable.
-                    out.push(RE_ERROR);
-                    put_text(&mut out, &format!("{code}: {message}"));
-                }
+                out.push(RE_FAIL);
+                out.push(code.to_u8());
+                put_u32(&mut out, *retry_after_ms);
+                put_text(&mut out, message);
             }
         }
         Ok(out)
     }
 
-    /// Decodes a frame payload, validating strictly. Accepts any
-    /// version in [`PROTOCOL_VERSION_MIN`]`..=`[`PROTOCOL_VERSION`].
+    /// Decodes a frame payload, validating strictly.
     pub fn decode(payload: &[u8]) -> Result<Response, WireError> {
         let mut r = ByteReader::new(payload);
-        let version = r.u8()?;
-        if !version_accepted(version) {
-            return Err(WireError::Version(version));
-        }
+        r.version()?;
         let opcode = r.u8()?;
         let resp = match opcode {
             RE_PONG => Response::Pong,
@@ -1080,42 +1022,33 @@ impl Response {
                 }
             },
             RE_BOOLS => Response::Bools(unpack_bools(&mut r)?),
-            RE_STATS => {
-                let mut stats = NamespaceStats {
-                    kind: NamespaceKind::from_u8(r.u8()?)?,
-                    vertices: r.u64()?,
-                    label_entries: r.u64()?,
-                    pending_inserts: r.u64()?,
-                    pending_deletions: r.u64()?,
-                    queries: r.u64()?,
-                    signature_bytes: r.u64()?,
-                    filter_hits: r.u64()?,
-                    signature_hits: r.u64()?,
-                    merge_runs: r.u64()?,
-                    backend: IndexBackend::from_u8(r.u8()?)?,
-                    heap_bytes: r.u64()?,
-                    mapped_bytes: r.u64()?,
-                    wal_bytes: 0,
-                    wal_records: 0,
-                    rebuilds: 0,
-                    rebuild_in_flight: false,
-                };
-                if version >= 5 {
-                    stats.wal_bytes = r.u64()?;
-                    stats.wal_records = r.u64()?;
-                    stats.rebuilds = r.u64()?;
-                    stats.rebuild_in_flight = match r.u8()? {
-                        0 => false,
-                        1 => true,
-                        other => {
-                            return Err(WireError::Malformed(format!(
-                                "rebuild_in_flight byte {other}"
-                            )));
-                        }
-                    };
-                }
-                Response::Stats(stats)
-            }
+            RE_STATS => Response::Stats(NamespaceStats {
+                kind: NamespaceKind::from_u8(r.u8()?)?,
+                vertices: r.u64()?,
+                label_entries: r.u64()?,
+                pending_inserts: r.u64()?,
+                pending_deletions: r.u64()?,
+                queries: r.u64()?,
+                signature_bytes: r.u64()?,
+                filter_hits: r.u64()?,
+                signature_hits: r.u64()?,
+                merge_runs: r.u64()?,
+                backend: IndexBackend::from_u8(r.u8()?)?,
+                heap_bytes: r.u64()?,
+                mapped_bytes: r.u64()?,
+                wal_bytes: r.u64()?,
+                wal_records: r.u64()?,
+                rebuilds: r.u64()?,
+                rebuild_in_flight: match r.u8()? {
+                    0 => false,
+                    1 => true,
+                    other => {
+                        return Err(WireError::Malformed(format!(
+                            "rebuild_in_flight byte {other}"
+                        )));
+                    }
+                },
+            }),
             RE_LIST => {
                 let k = r.u32()?;
                 // Each entry is at least 2 body bytes (empty name +
@@ -1135,7 +1068,7 @@ impl Response {
                 }
                 Response::List(infos)
             }
-            RE_METRICS if version >= 4 => {
+            RE_METRICS => {
                 let kc = r.u32()?;
                 // Each counter is at least 10 body bytes (empty name +
                 // u64); never size an allocation off a bogus count.
@@ -1177,9 +1110,7 @@ impl Response {
                 })
             }
             RE_ERROR => Response::Error(r.text()?),
-            // FAIL arrived in v6; to an older frame it is exactly an
-            // unknown opcode, same as an older server would have said.
-            RE_FAIL if version >= 6 => Response::Fail {
+            RE_FAIL => Response::Fail {
                 code: ErrorCode::from_u8(r.u8()?)?,
                 retry_after_ms: r.u32()?,
                 message: r.text()?,
@@ -1283,17 +1214,24 @@ mod tests {
 
     #[test]
     fn bad_version_rejected() {
-        let mut bytes = Request::Ping.encode().unwrap();
-        bytes[0] = 9;
-        assert!(matches!(
-            Request::decode(&bytes),
-            Err(WireError::Version(9))
-        ));
-        bytes[0] = PROTOCOL_VERSION_MIN - 1;
-        assert!(matches!(
-            Request::decode(&bytes),
-            Err(WireError::Version(_))
-        ));
+        let request = Request::Ping.encode().unwrap();
+        let response = Response::Pong.encode().unwrap();
+        assert_eq!(request[0], PROTOCOL_VERSION);
+        assert_eq!(response[0], PROTOCOL_VERSION);
+        for version in [0u8, 3, 4, 5, 7, 99] {
+            let mut bytes = request.clone();
+            bytes[0] = version;
+            assert!(
+                matches!(Request::decode(&bytes), Err(WireError::Version(v)) if v == version),
+                "request v{version}"
+            );
+            let mut bytes = response.clone();
+            bytes[0] = version;
+            assert!(
+                matches!(Response::decode(&bytes), Err(WireError::Version(v)) if v == version),
+                "response v{version}"
+            );
+        }
     }
 
     #[test]
@@ -1326,122 +1264,6 @@ mod tests {
             report.histogram("ns_query_merge_ns{ns=\"g\"}").unwrap().p99,
             48_000
         );
-    }
-
-    /// The v3 compatibility window: a v3 frame of any pre-v4 opcode
-    /// decodes (and reports its version), a v3 frame of the v4-only
-    /// `METRICS` opcode is an unknown opcode, and replies encode in
-    /// whatever accepted version the caller asks for.
-    #[test]
-    fn v3_frames_still_decode_and_replies_echo_their_version() {
-        let mut reach = Request::Reach {
-            ns: "g".into(),
-            u: 1,
-            v: 2,
-        }
-        .encode()
-        .unwrap();
-        assert_eq!(reach[0], PROTOCOL_VERSION);
-        reach[0] = 3;
-        let (req, version) = Request::decode_with_version(&reach).unwrap();
-        assert_eq!(version, 3);
-        assert!(matches!(req, Request::Reach { .. }));
-
-        let mut metrics = Request::Metrics { ns: String::new() }.encode().unwrap();
-        metrics[0] = 3;
-        assert!(matches!(
-            Request::decode(&metrics),
-            Err(WireError::UnknownOpcode(OP_METRICS))
-        ));
-
-        let reply = Response::Bool(true).encode_versioned(3).unwrap();
-        assert_eq!(reply[0], 3);
-        assert_eq!(Response::decode(&reply).unwrap(), Response::Bool(true));
-        assert!(matches!(
-            Response::Bool(true).encode_versioned(2),
-            Err(WireError::Version(2))
-        ));
-        // A METRICS reply cannot be spoken in v3.
-        assert!(Response::Metrics(MetricsReport::default())
-            .encode_versioned(3)
-            .is_err());
-        // A v3 RE_METRICS frame is an unknown opcode.
-        assert!(matches!(
-            Response::decode(&[3, RE_METRICS]),
-            Err(WireError::UnknownOpcode(RE_METRICS))
-        ));
-    }
-
-    /// The v5 STATS extension is version-gated: a v4 (or v3) frame
-    /// carries the 13-field body bit-for-bit — strict older decoders
-    /// keep parsing — and decodes with the durability fields zeroed,
-    /// while a v5 frame roundtrips them.
-    #[test]
-    fn stats_durability_fields_are_version_gated() {
-        let full = NamespaceStats {
-            kind: NamespaceKind::Dynamic,
-            vertices: 4,
-            label_entries: 9,
-            pending_inserts: 2,
-            pending_deletions: 1,
-            queries: 77,
-            signature_bytes: 0,
-            filter_hits: 0,
-            signature_hits: 0,
-            merge_runs: 0,
-            backend: IndexBackend::Heap,
-            heap_bytes: 512,
-            mapped_bytes: 0,
-            wal_bytes: 3 * 17,
-            wal_records: 3,
-            rebuilds: 1,
-            rebuild_in_flight: true,
-        };
-        let v4 = Response::Stats(full).encode_versioned(4).unwrap();
-        let v5 = Response::Stats(full).encode_versioned(5).unwrap();
-        assert_eq!(v5.len(), v4.len() + 3 * 8 + 1);
-        match Response::decode(&v4).unwrap() {
-            Response::Stats(s) => {
-                assert_eq!(s.queries, 77);
-                assert_eq!(s.wal_bytes, 0);
-                assert_eq!(s.wal_records, 0);
-                assert_eq!(s.rebuilds, 0);
-                assert!(!s.rebuild_in_flight);
-            }
-            other => panic!("got {other:?}"),
-        }
-        assert_eq!(Response::decode(&v5).unwrap(), Response::Stats(full));
-    }
-
-    /// The v6 FAIL extension is version-gated: a v6 frame roundtrips
-    /// the code + retry hint, a v5 (or older) peer gets the refusal
-    /// degraded to a plain ERROR with the code name prefixed — strict
-    /// older decoders keep parsing — and a pre-v6 `RE_FAIL` frame is
-    /// an unknown opcode, exactly what an older server would have said.
-    #[test]
-    fn fail_replies_are_version_gated() {
-        let fail = Response::overloaded(250, "tick budget exhausted");
-        let v6 = fail.encode_versioned(6).unwrap();
-        assert_eq!(v6[0], 6);
-        assert_eq!(Response::decode(&v6).unwrap(), fail);
-
-        for old in [3u8, 4, 5] {
-            let frame = fail.encode_versioned(old).unwrap();
-            assert_eq!(frame[0], old);
-            match Response::decode(&frame).unwrap() {
-                Response::Error(m) => {
-                    assert!(m.starts_with("OVERLOADED: "), "{m}");
-                    assert!(m.contains("tick budget"), "{m}");
-                }
-                other => panic!("got {other:?}"),
-            }
-        }
-
-        // A pre-v6 RE_FAIL frame is an unknown opcode.
-        assert!(matches!(
-            Response::decode(&[5, RE_FAIL, 2, 0, 0, 0, 0, 0, 0]),
-            Err(WireError::UnknownOpcode(RE_FAIL))
-        ));
     }
 
     #[test]

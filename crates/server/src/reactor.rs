@@ -49,9 +49,11 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::obs::ServerObs;
-use crate::protocol::{FrameAccumulator, Request, Response, MAX_BATCH_PAIRS};
+use crate::protocol::{
+    encode_reply_frame, FrameAccumulator, Request, Response, MAX_BATCH_PAIRS, MAX_FRAME_LEN,
+};
 use crate::registry::{NamespaceHandle, Registry, ServeError};
-use crate::server::{salvage_version, ServerConfig, ServerCounters};
+use crate::server::{ServerConfig, ServerCounters, POLL_INTERVAL, RETRY_AFTER_MS};
 
 pub(crate) mod sys;
 
@@ -192,12 +194,11 @@ struct Job {
     targets: Vec<Target>,
 }
 
-/// One decoded frame awaiting its reply: where it came from, which
-/// protocol dialect the reply must speak, and when its bytes arrived
-/// (the deadline clock, and the accept→reply latency histogram).
+/// One decoded frame awaiting its reply: where it came from and when
+/// its bytes arrived (the deadline clock, and the accept→reply latency
+/// histogram).
 struct Slot {
     token: u64,
-    version: u8,
     arrived: Instant,
     response: Option<Response>,
 }
@@ -221,10 +222,9 @@ impl Tick {
         }
     }
 
-    fn push_slot(&mut self, token: u64, version: u8, arrived: Instant, response: Option<Response>) {
+    fn push_slot(&mut self, token: u64, arrived: Instant, response: Option<Response>) {
         self.slots.push(Slot {
             token,
-            version,
             arrived,
             response,
         });
@@ -270,13 +270,13 @@ fn run(
     let mut last_sweep = Instant::now();
 
     while !stop.load(Ordering::SeqCst) {
-        poller.wait(&mut events, config.poll_interval)?;
+        poller.wait(&mut events, POLL_INTERVAL)?;
         // Idle wakeups (shutdown poll timeouts) are not ticks worth
         // histogramming; only time passes through real work.
         let tick_started = (!events.is_empty()).then(Instant::now);
         for event in &events {
             if event.token == LISTENER_TOKEN {
-                accept_ready(listener, &poller, &mut slab, config, counters);
+                accept_ready(listener, &poller, &mut slab, counters);
                 continue;
             }
             if event.readable {
@@ -327,7 +327,6 @@ fn accept_ready(
     listener: &TcpListener,
     poller: &sys::Poller,
     slab: &mut Slab,
-    config: &ServerConfig,
     counters: &ServerCounters,
 ) {
     loop {
@@ -341,7 +340,7 @@ fn accept_ready(
                 let token = slab.insert(Conn {
                     stream,
                     fd,
-                    acc: FrameAccumulator::new(config.max_frame_len),
+                    acc: FrameAccumulator::new(MAX_FRAME_LEN),
                     out: Vec::new(),
                     out_pos: 0,
                     close_after_flush: false,
@@ -454,7 +453,7 @@ fn read_ready(
             Ok(k) => {
                 got_bytes = true;
                 conn.acc.extend(&buf[..k]);
-                if conn.acc.pending_bytes() as u64 > config.max_frame_len as u64 + 4 {
+                if conn.acc.pending_bytes() > MAX_FRAME_LEN as usize + 4 {
                     break; // one frame's worth is buffered; parse first
                 }
             }
@@ -486,7 +485,6 @@ fn read_ready(
                 conn.close_after_flush = true;
                 tick.push_slot(
                     token,
-                    crate::protocol::PROTOCOL_VERSION,
                     now,
                     Some(Response::Error(format!("bad request: {e}"))),
                 );
@@ -526,12 +524,11 @@ fn decode_frame(
     obs: &ServerObs,
 ) {
     let slot = tick.slots.len();
-    let (request, version) = match Request::decode_with_version(payload) {
-        Ok(decoded) => decoded,
+    let request = match Request::decode(payload) {
+        Ok(request) => request,
         Err(e) => {
             tick.push_slot(
                 token,
-                salvage_version(payload),
                 arrived,
                 Some(Response::Error(format!("bad request: {e}"))),
             );
@@ -547,7 +544,6 @@ fn decode_frame(
         if !matches!(request, Request::Ping) && arrived.elapsed() > deadline {
             tick.push_slot(
                 token,
-                version,
                 arrived,
                 Some(Response::deadline_exceeded(
                     "request aged past its deadline before dispatch",
@@ -565,10 +561,9 @@ fn decode_frame(
         if tick.slots.len() >= hwm && crate::server::sheddable(&request) {
             tick.push_slot(
                 token,
-                version,
                 arrived,
                 Some(Response::overloaded(
-                    config.retry_after_ms(),
+                    RETRY_AFTER_MS,
                     format!("overloaded: {} frames already in flight this tick", slot),
                 )),
             );
@@ -583,10 +578,9 @@ fn decode_frame(
     if !registry.is_ready() && matches!(request, Request::Reach { .. } | Request::Batch { .. }) {
         tick.push_slot(
             token,
-            version,
             arrived,
             Some(Response::not_ready(
-                config.retry_after_ms(),
+                RETRY_AFTER_MS,
                 "server is starting up (namespace load / WAL replay in progress)",
             )),
         );
@@ -601,7 +595,6 @@ fn decode_frame(
         _ => {
             tick.push_slot(
                 token,
-                version,
                 arrived,
                 Some(crate::server::handle_request(
                     request, registry, config, counters, obs,
@@ -632,7 +625,7 @@ fn decode_frame(
                         .is_some_and(|budget| queued > 0 && queued + pairs.len() > budget);
                     if over_budget {
                         Some(Response::overloaded(
-                            config.retry_after_ms(),
+                            RETRY_AFTER_MS,
                             format!(
                                 "overloaded: coalesced-batch budget for namespace {ns:?} exhausted this tick"
                             ),
@@ -663,7 +656,7 @@ fn decode_frame(
             Err(e) => Response::Error(e.to_string()),
         }),
     };
-    tick.push_slot(token, version, arrived, response);
+    tick.push_slot(token, arrived, response);
 }
 
 /// Runs every namespace's coalesced batch through one kernel call
@@ -756,22 +749,10 @@ fn scatter(tick: &mut Tick, slab: &mut Slab, counters: &ServerCounters, obs: &Se
         let Some(conn) = slab.get_mut(slot.token) else {
             continue; // connection died mid-tick; drop its replies
         };
-        encode_into(&mut conn.out, &response, slot.version);
+        encode_reply_frame(&mut conn.out, &response);
         obs.reply_latency_ns
             .record(slot.arrived.elapsed().as_nanos() as u64);
     }
-}
-
-/// Encodes `response` as one length-prefixed frame appended to `out`,
-/// speaking the dialect the request arrived in.
-fn encode_into(out: &mut Vec<u8>, response: &Response, version: u8) {
-    let payload = response.encode_versioned(version).unwrap_or_else(|e| {
-        Response::Error(format!("internal encode failure: {e}"))
-            .encode_versioned(version)
-            .expect("plain error replies always encode")
-    });
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&payload);
 }
 
 /// Writes as much of a connection's buffer as the socket accepts, then

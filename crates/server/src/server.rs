@@ -6,7 +6,7 @@
 //!   beyond the worker count are refused with an explicit `ERROR`
 //!   reply — never silently queued behind long-lived peers.
 //! - [`ServeMode::Reactor`] (unix): a single epoll/kqueue event loop
-//!   multiplexing every connection ([`crate::reactor`]), with
+//!   multiplexing every connection (the `reactor` module), with
 //!   cross-connection batch coalescing. Connections are never refused
 //!   below the fd limit; a slow reader gets backpressure instead.
 //!
@@ -30,8 +30,8 @@ use std::time::{Duration, Instant};
 use crate::obs::ServerObs;
 use crate::pool::ThreadPool;
 use crate::protocol::{
-    ErrorCode, FrameAccumulator, MetricsReport, Request, Response, WireError, MAX_FRAME_LEN,
-    PROTOCOL_VERSION,
+    encode_reply_frame, ErrorCode, FrameAccumulator, MetricsReport, Request, Response, WireError,
+    MAX_FRAME_LEN,
 };
 use crate::registry::{Registry, ServeError};
 
@@ -68,11 +68,6 @@ pub struct ServerConfig {
     /// ([`hoplite_core::parallel::par_query_batch_mapped`]) — in
     /// reactor mode, for each *coalesced* per-tick super-batch.
     pub batch_threads: usize,
-    /// Largest accepted frame payload.
-    pub max_frame_len: u32,
-    /// How often a blocked read (thread-pool) or an idle `epoll_wait`
-    /// (reactor) re-checks the shutdown flag.
-    pub poll_interval: Duration,
     /// Reactor mode: once a connection's buffered unwritten replies
     /// exceed this many bytes, the reactor stops *reading* from it
     /// until the peer drains — bounding per-connection memory with
@@ -95,7 +90,7 @@ pub struct ServerConfig {
     /// Admission-control high-water mark on decoded frames awaiting
     /// dispatch — per reactor tick, or per connection in thread-pool
     /// mode. Past it, reads (`REACH`/`BATCH`) are shed with an
-    /// `OVERLOADED` refusal carrying [`Self::retry_after`]; mutations
+    /// `OVERLOADED` refusal carrying a retry-after hint; mutations
     /// are never shed (their ack is the WAL ack). `None` (the default)
     /// never sheds.
     pub shed_inflight_hwm: Option<usize>,
@@ -112,9 +107,6 @@ pub struct ServerConfig {
     /// (and counted as reaped) instead of buffered unboundedly —
     /// [`Self::write_backpressure`] throttles, this one evicts.
     pub max_conn_backlog: usize,
-    /// Advisory "come back in this long" hint carried by `OVERLOADED`
-    /// and `NOT_READY` refusals.
-    pub retry_after: Duration,
 }
 
 impl Default for ServerConfig {
@@ -126,8 +118,6 @@ impl Default for ServerConfig {
             mode: ServeMode::ThreadPool,
             workers: cores.clamp(2, 16),
             batch_threads: cores.clamp(1, 8),
-            max_frame_len: MAX_FRAME_LEN,
-            poll_interval: Duration::from_millis(25),
             write_backpressure: 256 * 1024,
             request_deadline: None,
             idle_timeout: None,
@@ -136,18 +126,17 @@ impl Default for ServerConfig {
             shed_coalesced_pairs: None,
             pool_queue_limit: 0,
             max_conn_backlog: 16 * 256 * 1024,
-            retry_after: Duration::from_millis(100),
         }
     }
 }
 
-impl ServerConfig {
-    /// The retry-after hint in the unit the wire carries (saturating;
-    /// a hint longer than ~49 days caps out).
-    pub(crate) fn retry_after_ms(&self) -> u32 {
-        self.retry_after.as_millis().min(u32::MAX as u128) as u32
-    }
-}
+/// How often a blocked read (thread-pool) or an idle `epoll_wait`
+/// (reactor) re-checks the shutdown flag.
+pub(crate) const POLL_INTERVAL: Duration = Duration::from_millis(25);
+
+/// Advisory "come back in this many milliseconds" hint carried by
+/// `OVERLOADED` and `NOT_READY` refusals.
+pub(crate) const RETRY_AFTER_MS: u32 = 100;
 
 /// Monotonic serving counters, shared by every serving thread.
 #[derive(Default)]
@@ -442,7 +431,6 @@ fn accept_loop(
     } else {
         config.pool_queue_limit
     };
-    let retry_ms = config.retry_after_ms();
     for stream in listener.incoming() {
         if stop.load(Ordering::SeqCst) {
             break;
@@ -459,7 +447,6 @@ fn accept_loop(
                     counters.rejected.fetch_add(1, Ordering::Relaxed);
                     refuse_connection(
                         stream,
-                        retry_ms,
                         format!(
                             "server at capacity ({} connections); retry later",
                             pool.size()
@@ -471,7 +458,6 @@ fn accept_loop(
                     counters.rejected.fetch_add(1, Ordering::Relaxed);
                     refuse_connection(
                         stream,
-                        retry_ms,
                         format!("connection queue full ({queue_limit} waiting); retry later"),
                     );
                     continue;
@@ -511,39 +497,16 @@ fn accept_loop(
 /// `OVERLOADED` refusal with a retry-after hint, so client backoff
 /// actually helps instead of hammering. Bounded by a short write
 /// timeout so a slow peer cannot stall the accept thread.
-fn refuse_connection(mut stream: TcpStream, retry_after_ms: u32, why: String) {
+fn refuse_connection(mut stream: TcpStream, why: String) {
     let _ = stream.set_write_timeout(Some(Duration::from_millis(250)));
-    let _ = send_response(
-        &mut stream,
-        &Response::overloaded(retry_after_ms, why),
-        PROTOCOL_VERSION,
-    );
+    let _ = send_response(&mut stream, &Response::overloaded(RETRY_AFTER_MS, why));
 }
 
-/// Replies echo the *request's* protocol version (see
-/// [`Response::encode_versioned`]), so a v3 client pipelining against
-/// a v4 server reads frames it can decode.
-fn send_response(stream: &mut TcpStream, response: &Response, version: u8) -> io::Result<()> {
-    let payload = response.encode_versioned(version).unwrap_or_else(|e| {
-        Response::Error(format!("internal encode failure: {e}"))
-            .encode_versioned(version)
-            .expect("plain error replies always encode")
-    });
-    let mut frame = Vec::with_capacity(4 + payload.len());
-    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    frame.extend_from_slice(&payload);
+/// Writes one reply frame with a single blocking `write_all`.
+fn send_response(stream: &mut TcpStream, response: &Response) -> io::Result<()> {
+    let mut frame = Vec::new();
+    encode_reply_frame(&mut frame, response);
     stream.write_all(&frame)
-}
-
-/// Best-effort version for error replies to frames that failed to
-/// decode: echo the claimed version when it is inside the accepted
-/// window, else answer in the current dialect.
-pub(crate) fn salvage_version(payload: &[u8]) -> u8 {
-    payload
-        .first()
-        .copied()
-        .filter(|&v| crate::protocol::version_accepted(v))
-        .unwrap_or(PROTOCOL_VERSION)
 }
 
 /// May this request be shed by admission control? Reads are cheap to
@@ -570,10 +533,9 @@ fn serve_connection(
     obs: &ServerObs,
 ) {
     let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(config.poll_interval));
+    let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
     let _ = stream.set_write_timeout(Some(WRITE_STALL_TIMEOUT));
-    let retry_ms = config.retry_after_ms();
-    let mut acc = FrameAccumulator::new(config.max_frame_len);
+    let mut acc = FrameAccumulator::new(MAX_FRAME_LEN);
     // Frames stamped at accumulation time (the read that completed
     // them) — the deadline clock starts here, and a pipelining client
     // can land many frames per read.
@@ -639,38 +601,34 @@ fn serve_connection(
             obs.inflight_frames.record(queue.len() as u64);
         }
         while let Some((payload, arrived)) = queue.pop_front() {
-            let (response, version) = match Request::decode_with_version(&payload) {
-                Ok((request, version)) => {
+            let response = match Request::decode(&payload) {
+                Ok(request) => {
                     let expired = config.request_deadline.is_some_and(|deadline| {
                         !matches!(request, Request::Ping) && arrived.elapsed() > deadline
                     });
                     let shed = config
                         .shed_inflight_hwm
                         .is_some_and(|hwm| queue.len() > hwm && sheddable(&request));
-                    let response = if expired {
+                    if expired {
                         Response::deadline_exceeded(format!(
                             "request aged out after {}ms queued",
                             arrived.elapsed().as_millis()
                         ))
                     } else if shed {
                         Response::overloaded(
-                            retry_ms,
+                            RETRY_AFTER_MS,
                             format!("shed: {} frames queued on this connection", queue.len() + 1),
                         )
                     } else {
                         handle_request(request, registry, config, counters, obs)
-                    };
-                    (response, version)
+                    }
                 }
-                Err(e) => (
-                    Response::Error(format!("bad request: {e}")),
-                    salvage_version(&payload),
-                ),
+                Err(e) => Response::Error(format!("bad request: {e}")),
             };
             count_reply(counters, &response);
             obs.reply_latency_ns
                 .record(arrived.elapsed().as_nanos() as u64);
-            match send_response(&mut stream, &response, version) {
+            match send_response(&mut stream, &response) {
                 Ok(()) => {}
                 Err(e)
                     if matches!(
@@ -689,11 +647,7 @@ fn serve_connection(
         if let Some(err) = poisoned {
             counters.frames.fetch_add(1, Ordering::Relaxed);
             counters.errors.fetch_add(1, Ordering::Relaxed);
-            let _ = send_response(
-                &mut stream,
-                &Response::Error(format!("bad request: {err}")),
-                PROTOCOL_VERSION,
-            );
+            let _ = send_response(&mut stream, &Response::Error(format!("bad request: {err}")));
             return; // cannot skip the oversized body safely
         }
     }
@@ -724,7 +678,7 @@ pub(crate) fn handle_request(
     // loaded so far).
     if !registry.is_ready() && !matches!(request, Request::Ping | Request::List) {
         return Response::not_ready(
-            config.retry_after_ms(),
+            RETRY_AFTER_MS,
             "server is starting up (namespace load / WAL replay in progress)",
         );
     }

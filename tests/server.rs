@@ -12,8 +12,8 @@ use hoplite::core::DynamicOracle;
 use hoplite::graph::gen::Rng;
 use hoplite::graph::traversal;
 use hoplite::server::{
-    Client, ClientError, ErrorCode, NamespaceKind, Registry, Response, Server, ServerConfig,
-    MAX_FRAME_LEN, PROTOCOL_VERSION,
+    Client, ClientError, ErrorCode, NamespaceKind, Registry, Request, Response, ServeMode, Server,
+    ServerConfig, MAX_FRAME_LEN, PROTOCOL_VERSION,
 };
 use hoplite::{Dag, DiGraph, Oracle, VertexId};
 
@@ -185,17 +185,13 @@ fn semantic_errors_are_replies_not_disconnects() {
     handle.shutdown();
 }
 
-/// Sends raw bytes as one frame and returns the decoded reply (if the
-/// server replied at all before closing).
-fn send_raw(addr: std::net::SocketAddr, payload: &[u8]) -> Option<Response> {
-    let mut stream = TcpStream::connect(addr).unwrap();
-    stream
-        .set_read_timeout(Some(std::time::Duration::from_secs(5)))
-        .unwrap();
+/// Sends raw bytes as one frame on `stream` and returns the decoded
+/// reply (if the server replied at all before closing).
+fn send_raw_on(stream: &mut TcpStream, payload: &[u8]) -> Option<Response> {
     stream
         .write_all(&(payload.len() as u32).to_le_bytes())
-        .unwrap();
-    stream.write_all(payload).unwrap();
+        .ok()?;
+    stream.write_all(payload).ok()?;
     let mut len = [0u8; 4];
     stream.read_exact(&mut len).ok()?;
     let mut reply = vec![0u8; u32::from_le_bytes(len) as usize];
@@ -203,18 +199,25 @@ fn send_raw(addr: std::net::SocketAddr, payload: &[u8]) -> Option<Response> {
     Some(Response::decode(&reply).expect("server replies are well-formed"))
 }
 
+/// [`send_raw_on`] over a fresh connection.
+fn send_raw(addr: std::net::SocketAddr, payload: &[u8]) -> Option<Response> {
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(5)))
+        .unwrap();
+    send_raw_on(&mut stream, payload)
+}
+
 #[test]
 fn malformed_frames_get_clean_error_replies_never_panics_or_wrong_answers() {
     let g = random_cyclic_digraph(20, 60, 3);
-    let registry = Registry::new();
-    registry.insert_frozen("g", Oracle::new(&g)).unwrap();
-    let handle = serve(registry);
-    let addr = handle.local_addr();
-
     let cases: Vec<(&str, Vec<u8>)> = vec![
         ("empty payload", vec![]),
         ("version only", vec![PROTOCOL_VERSION]),
-        ("bad version", vec![99, 0x01]),
+        ("version 3", vec![3, 0x01]),
+        ("version 5", vec![5, 0x01]),
+        ("version 7", vec![7, 0x01]),
+        ("version 99", vec![99, 0x01]),
         ("unknown opcode", vec![PROTOCOL_VERSION, 0x42]),
         ("reach with no body", vec![PROTOCOL_VERSION, 0x02]),
         (
@@ -243,66 +246,103 @@ fn malformed_frames_get_clean_error_replies_never_panics_or_wrong_answers() {
             b
         }),
     ];
-    for (what, payload) in &cases {
-        match send_raw(addr, payload) {
-            Some(Response::Error(message)) => {
-                assert!(
-                    message.starts_with("bad request:"),
-                    "{what}: unexpected message {message:?}"
-                );
+    let ping = Request::Ping.encode().unwrap();
+    let mut modes = vec![ServeMode::ThreadPool];
+    if cfg!(unix) {
+        modes.push(ServeMode::Reactor);
+    }
+    for mode in modes {
+        let registry = Registry::new();
+        registry.insert_frozen("g", Oracle::new(&g)).unwrap();
+        let config = ServerConfig {
+            mode,
+            workers: 16,
+            ..ServerConfig::default()
+        };
+        let handle = Server::bind("127.0.0.1:0", Arc::new(registry), config).unwrap();
+        let addr = handle.local_addr();
+
+        // Every malformed frame gets one `bad request` error reply, and
+        // the connection keeps serving: a PING right after it on the
+        // same socket gets its PONG.
+        for (what, payload) in &cases {
+            let mut stream = TcpStream::connect(addr).unwrap();
+            stream
+                .set_read_timeout(Some(std::time::Duration::from_secs(5)))
+                .unwrap();
+            match send_raw_on(&mut stream, payload) {
+                Some(Response::Error(message)) => {
+                    assert!(
+                        message.starts_with("bad request:"),
+                        "{mode:?} {what}: unexpected message {message:?}"
+                    );
+                    if let Some(&version) = payload.first().filter(|&&v| v != PROTOCOL_VERSION) {
+                        let expected =
+                            format!("bad request: unsupported protocol version {version} ");
+                        assert!(
+                            message.starts_with(&expected),
+                            "{mode:?} {what}: unexpected message {message:?}"
+                        );
+                    }
+                }
+                Some(other) => panic!("{mode:?} {what}: got non-error reply {other:?}"),
+                None => panic!("{mode:?} {what}: connection closed without a reply"),
             }
-            Some(other) => panic!("{what}: got non-error reply {other:?}"),
-            None => panic!("{what}: connection closed without a reply"),
+            assert_eq!(
+                send_raw_on(&mut stream, &ping),
+                Some(Response::Pong),
+                "{mode:?} {what}: connection must keep serving"
+            );
         }
-    }
 
-    // Oversized length prefix: error reply, then the connection closes
-    // (framing can no longer be trusted).
-    {
-        let mut stream = TcpStream::connect(addr).unwrap();
-        stream
-            .set_read_timeout(Some(std::time::Duration::from_secs(5)))
-            .unwrap();
-        stream
-            .write_all(&(MAX_FRAME_LEN + 1).to_le_bytes())
-            .unwrap();
-        let mut len = [0u8; 4];
-        stream.read_exact(&mut len).unwrap();
-        let mut reply = vec![0u8; u32::from_le_bytes(len) as usize];
-        stream.read_exact(&mut reply).unwrap();
-        match Response::decode(&reply).unwrap() {
-            Response::Error(message) => assert!(message.contains("exceeds"), "{message}"),
-            other => panic!("oversized frame got {other:?}"),
+        // Oversized length prefix: error reply, then the connection
+        // closes (framing can no longer be trusted).
+        {
+            let mut stream = TcpStream::connect(addr).unwrap();
+            stream
+                .set_read_timeout(Some(std::time::Duration::from_secs(5)))
+                .unwrap();
+            stream
+                .write_all(&(MAX_FRAME_LEN + 1).to_le_bytes())
+                .unwrap();
+            let mut len = [0u8; 4];
+            stream.read_exact(&mut len).unwrap();
+            let mut reply = vec![0u8; u32::from_le_bytes(len) as usize];
+            stream.read_exact(&mut reply).unwrap();
+            match Response::decode(&reply).unwrap() {
+                Response::Error(message) => assert!(message.contains("exceeds"), "{message}"),
+                other => panic!("{mode:?}: oversized frame got {other:?}"),
+            }
+            let mut probe = [0u8; 1];
+            assert_eq!(stream.read(&mut probe).unwrap(), 0, "connection closed");
         }
-        let mut probe = [0u8; 1];
-        assert_eq!(stream.read(&mut probe).unwrap(), 0, "connection closed");
-    }
 
-    // Seeded garbage fuzz: random payloads must produce error replies
-    // (or at worst a clean close), and the server must keep serving
-    // correct answers afterwards.
-    let mut rng = Rng::new(0xBAD5EED);
-    for round in 0..64 {
-        let len = rng.gen_index(48);
-        let payload: Vec<u8> = (0..len).map(|_| rng.gen_range(256) as u8).collect();
-        // Skip the rare case where garbage forms a valid request; any
-        // reply (or clean close) is acceptable then.
-        if let Some(Response::Error(message)) = send_raw(addr, &payload) {
-            assert!(!message.is_empty(), "round {round}");
+        // Seeded garbage fuzz: random payloads must produce error
+        // replies (or at worst a clean close), and the server must keep
+        // serving correct answers afterwards.
+        let mut rng = Rng::new(0xBAD5EED);
+        for round in 0..64 {
+            let len = rng.gen_index(48);
+            let payload: Vec<u8> = (0..len).map(|_| rng.gen_range(256) as u8).collect();
+            // Skip the rare case where garbage forms a valid request;
+            // any reply (or clean close) is acceptable then.
+            if let Some(Response::Error(message)) = send_raw(addr, &payload) {
+                assert!(!message.is_empty(), "{mode:?} round {round}");
+            }
         }
-    }
 
-    let mut client = Client::connect(addr).unwrap();
-    client.ping().expect("server alive after the fuzz barrage");
-    for (u, v) in [(0u32, 5u32), (3, 3), (7, 19)] {
-        assert_eq!(
-            client.reach("g", u, v).unwrap(),
-            traversal::reaches(&g, u, v),
-            "post-fuzz answers stay correct"
-        );
+        let mut client = Client::connect(addr).unwrap();
+        client.ping().expect("server alive after the fuzz barrage");
+        for (u, v) in [(0u32, 5u32), (3, 3), (7, 19)] {
+            assert_eq!(
+                client.reach("g", u, v).unwrap(),
+                traversal::reaches(&g, u, v),
+                "{mode:?}: post-fuzz answers stay correct"
+            );
+        }
+        assert!(handle.errors_replied() >= cases.len() as u64);
+        handle.shutdown();
     }
-    assert!(handle.errors_replied() >= cases.len() as u64);
-    handle.shutdown();
 }
 
 #[test]
@@ -845,84 +885,6 @@ fn metrics_op_reports_query_outcomes_and_latency_summaries() {
         }
         other => panic!("METRICS on absent namespace got {other:?}"),
     }
-    handle.shutdown();
-}
-
-/// Sends raw bytes as one frame and returns the raw reply payload, so
-/// version-echo bytes can be asserted before any decode.
-fn send_raw_payload(addr: std::net::SocketAddr, payload: &[u8]) -> Vec<u8> {
-    let mut stream = TcpStream::connect(addr).unwrap();
-    stream
-        .set_read_timeout(Some(std::time::Duration::from_secs(5)))
-        .unwrap();
-    stream
-        .write_all(&(payload.len() as u32).to_le_bytes())
-        .unwrap();
-    stream.write_all(payload).unwrap();
-    let mut len = [0u8; 4];
-    stream.read_exact(&mut len).unwrap();
-    let mut reply = vec![0u8; u32::from_le_bytes(len) as usize];
-    stream.read_exact(&mut reply).unwrap();
-    reply
-}
-
-#[test]
-fn v3_clients_are_served_in_their_own_dialect() {
-    let g = DiGraph::from_edges(3, &[(0, 1), (1, 2)]).unwrap();
-    let registry = Registry::new();
-    registry.insert_frozen("g", Oracle::new(&g)).unwrap();
-    let handle = serve(registry);
-    let addr = handle.local_addr();
-
-    // A strict v3 client: every reply must carry version byte 3, or
-    // its decoder would refuse the frame.
-    let v3 = |request: &hoplite::server::Request| {
-        let mut payload = request.encode().unwrap();
-        assert_eq!(payload[0], PROTOCOL_VERSION);
-        payload[0] = 3;
-        payload
-    };
-    let reply = send_raw_payload(addr, &v3(&hoplite::server::Request::Ping));
-    assert_eq!(reply[0], 3, "PONG must echo the v3 dialect");
-    assert_eq!(Response::decode(&reply).unwrap(), Response::Pong);
-
-    let reply = send_raw_payload(
-        addr,
-        &v3(&hoplite::server::Request::Reach {
-            ns: "g".into(),
-            u: 0,
-            v: 2,
-        }),
-    );
-    assert_eq!(reply[0], 3);
-    assert_eq!(Response::decode(&reply).unwrap(), Response::Bool(true));
-
-    // The METRICS opcode postdates v3: a v3 frame carrying it gets the
-    // same answer a v3-era server would give — unknown opcode — as an
-    // error reply in the v3 dialect, not a disconnect.
-    let reply = send_raw_payload(
-        addr,
-        &v3(&hoplite::server::Request::Metrics { ns: String::new() }),
-    );
-    assert_eq!(reply[0], 3);
-    match Response::decode(&reply).unwrap() {
-        Response::Error(message) => assert!(message.contains("opcode"), "{message}"),
-        other => panic!("v3 METRICS frame got {other:?}"),
-    }
-
-    // Error replies to undecodable v3 frames stay in the v3 dialect
-    // too (the version byte is salvaged from the broken frame).
-    let reply = send_raw_payload(addr, &[3, 0x02]);
-    assert_eq!(reply[0], 3, "error reply must stay decodable to v3");
-    assert!(matches!(
-        Response::decode(&reply).unwrap(),
-        Response::Error(_)
-    ));
-
-    // And the current dialect still works on the same server.
-    let mut modern = Client::connect(addr).unwrap();
-    assert!(modern.reach("g", 0, 2).unwrap());
-    assert!(modern.metrics("").is_ok());
     handle.shutdown();
 }
 
