@@ -225,11 +225,17 @@ fn perf_cmd(args: &[String]) {
         report.cold_start.mapped_unverified_open_ms,
         report.cold_start.v3_file_bytes,
     );
+    eprintln!(
+        "# perf[build]: sequential {:.0} ms, two-sided {:.0} ms, auto ({} thr) {:.0} ms",
+        report.build.bitmap_seq_ms,
+        report.build.two_sided_ms,
+        report.build.auto_threads,
+        report.build.auto_ms
+    );
     for s in &report.scaling {
         eprintln!(
-            "# perf[scaling]: {} thr -> build {:.0} ms, query {:.2} Mq/s",
+            "# perf[scaling]: {} thr -> query {:.2} Mq/s",
             s.threads,
-            s.build_ms,
             s.query_qps / 1e6
         );
     }

@@ -4,10 +4,10 @@
 //! (the `BENCH_*.json` trajectory the ROADMAP calls for):
 //!
 //! * **Construction** — the seed per-pop sorted-merge build
-//!   ([`Pruning::SortedMerge`]) against the rank-bitmap engine,
-//!   sequential and N-thread chunked ([`Parallelism::Threads`]) at
-//!   several widths, plus the shipped default ([`Parallelism::Auto`]).
-//!   Every engine × width is verified to emit **byte-identical
+//!   ([`Pruning::SortedMerge`]) against the rank-bitmap engines,
+//!   sequential and two-sided ([`Parallelism::Threads`]), plus the
+//!   shipped default ([`Parallelism::Auto`]) and the thread count it
+//!   resolved to. Every engine is verified to emit **byte-identical
 //!   labels** before any number is reported.
 //! * **Query** — filtered vs unfiltered batch throughput through
 //!   [`Oracle::reaches_batch`] / [`Oracle::reaches_batch_unfiltered`],
@@ -19,10 +19,12 @@
 //!   doubled interval cuts carry it) and a `kronecker` R-MAT DAG
 //!   (scale-free degrees, the signature layer's best case on raw
 //!   labels), each with its own build/query/stage numbers.
-//! * **Thread scaling** — build time and batch-query throughput on the
-//!   headline index at 1/2/4/8 threads, the curve the CI
-//!   `perf-multicore` job records so a parallelism regression shows up
-//!   as a flat line instead of staying invisible on 1-core runners.
+//! * **Thread scaling** — batch-query throughput on the headline
+//!   index at 1/2/4/8 threads, the curve the CI `perf-multicore` job
+//!   records so a parallelism regression shows up as a flat line
+//!   instead of staying invisible on 1-core runners. The build leg is
+//!   the construction stage's sequential vs two-sided pair (the build
+//!   uses at most two threads).
 //! * **Wire** — QPS vs concurrent-connection count through a *real*
 //!   reactor-mode [`hoplite_server::Server`] in a child process, driven
 //!   by [`hoplite_server::loadgen`] over loopback TCP (child process
@@ -79,11 +81,7 @@ use hoplite_core::{
 use hoplite_graph::{gen, Dag};
 use hoplite_server::{loadgen, LoadSpec};
 
-/// Chunked-engine widths timed individually.
-const TIMED_WIDTHS: [usize; 2] = [2, 4];
-/// Widths whose output is verified byte-identical to the seed engine.
-const IDENTITY_WIDTHS: [usize; 5] = [1, 2, 3, 4, 8];
-/// Thread counts the scaling stage records build + query numbers for.
+/// Thread counts the scaling stage records query throughput for.
 const SCALING_WIDTHS: [usize; 4] = [1, 2, 4, 8];
 
 /// Headline numbers of the committed `BENCH_7.json` (48k/192k
@@ -149,8 +147,8 @@ pub struct EngineTimings {
     pub seed_merge_ms: f64,
     /// Rank-bitmap engine, single thread.
     pub bitmap_seq_ms: f64,
-    /// Chunked engine per timed width, `(threads, ms)`.
-    pub chunked_ms: Vec<(usize, f64)>,
+    /// Rank-bitmap engine, two-sided (`Parallelism::Threads(2)`).
+    pub two_sided_ms: f64,
     /// The shipped default (`Parallelism::Auto`).
     pub auto_ms: f64,
     /// Threads `Auto` resolved to on this host.
@@ -160,10 +158,9 @@ pub struct EngineTimings {
 impl EngineTimings {
     /// Fastest individual engine time — the bar `Auto` is held to.
     pub fn best_ms(&self) -> f64 {
-        self.chunked_ms
-            .iter()
-            .map(|&(_, ms)| ms)
-            .fold(self.seed_merge_ms.min(self.bitmap_seq_ms), f64::min)
+        self.seed_merge_ms
+            .min(self.bitmap_seq_ms)
+            .min(self.two_sided_ms)
     }
 }
 
@@ -297,12 +294,8 @@ impl FamilyReport {
 /// One point of the thread-scaling curve on the headline workload.
 #[derive(Clone, Debug)]
 pub struct ScalingStep {
-    /// Threads used for both measurements.
+    /// Threads the batch query ran on.
     pub threads: usize,
-    /// Rank-bitmap build wall clock at this width (sequential engine
-    /// at `threads == 1`, chunked otherwise — the same engines the
-    /// construction stage verifies byte-identical).
-    pub build_ms: f64,
     /// Filtered batch-query throughput at this width.
     pub query_qps: f64,
 }
@@ -401,8 +394,6 @@ pub struct PerfReport {
     pub signature_bytes: u64,
     /// Build-engine timings on the headline workload.
     pub build: EngineTimings,
-    /// Chunked-engine widths verified byte-identical to the seed build.
-    pub identity_widths: Vec<usize>,
     /// Count per [`FilterVerdict`] over the headline workload, in
     /// [`FilterVerdict::ALL`] order.
     pub verdict_counts: Vec<(FilterVerdict, usize)>,
@@ -410,7 +401,7 @@ pub struct PerfReport {
     pub families: Vec<FamilyReport>,
     /// Cold-start stage on the headline index (mapped arena open).
     pub cold_start: ColdStart,
-    /// Thread-scaling curve (build + query) on the headline workload,
+    /// Thread-scaling curve (batch query) on the headline workload,
     /// one step per `SCALING_WIDTHS` entry.
     pub scaling: Vec<ScalingStep>,
     /// Instrumented vs plain chunked query throughput on the headline
@@ -860,8 +851,7 @@ pub fn run_perf(opts: &PerfOptions) -> PerfReport {
     // phases, which the Auto-vs-best `--check` guard depends on.
     let mut seed_merge_ms = f64::INFINITY;
     let mut bitmap_seq_ms = f64::INFINITY;
-    let mut chunked_ms: Vec<(usize, f64)> =
-        TIMED_WIDTHS.iter().map(|&w| (w, f64::INFINITY)).collect();
+    let mut two_sided_ms = f64::INFINITY;
     let mut auto_ms = f64::INFINITY;
     let mut dl_seed: Option<DistributionLabeling> = None;
     for round in 0..rounds {
@@ -869,62 +859,22 @@ pub fn run_perf(opts: &PerfOptions) -> PerfReport {
         let (dl, ms) = time_ms(build(Pruning::SortedMerge, Parallelism::Sequential));
         seed_merge_ms = seed_merge_ms.min(ms);
         let dl_seed = dl_seed.get_or_insert(dl);
-        let (dl, ms) = time_ms(build(Pruning::RankBitmap, Parallelism::Sequential));
-        bitmap_seq_ms = bitmap_seq_ms.min(ms);
-        if round == 0 {
-            assert_identical_labels("bitmap-seq", &dl, dl_seed);
-        }
-        for slot in chunked_ms.iter_mut() {
-            let (dl, ms) = time_ms(build(Pruning::RankBitmap, Parallelism::Threads(slot.0)));
-            slot.1 = slot.1.min(ms);
+        for (engine, parallelism, best) in [
+            ("bitmap-seq", Parallelism::Sequential, &mut bitmap_seq_ms),
+            ("two-sided", Parallelism::Threads(2), &mut two_sided_ms),
+            ("auto", Parallelism::Auto, &mut auto_ms),
+        ] {
+            let (dl, ms) = time_ms(build(Pruning::RankBitmap, parallelism));
+            *best = best.min(ms);
             if round == 0 {
-                assert_identical_labels(&format!("chunked-t{}", slot.0), &dl, dl_seed);
+                assert_identical_labels(engine, &dl, dl_seed);
             }
         }
-        let (dl, ms) = time_ms(build(Pruning::RankBitmap, Parallelism::Auto));
-        auto_ms = auto_ms.min(ms);
-        if round == 0 {
-            assert_identical_labels("auto", &dl, dl_seed);
-        }
-    }
-    let dl_seed = dl_seed.expect("at least one round ran");
-    // Build leg of the thread-scaling curve. Widths 1/2/4 reuse the
-    // numbers measured above (1 thread == the sequential rank-bitmap
-    // engine); widths not already timed are measured — and label
-    // identity-checked — here.
-    let mut scaling_build_ms = Vec::with_capacity(SCALING_WIDTHS.len());
-    let mut scaling_verified: Vec<usize> = Vec::new();
-    for &t in &SCALING_WIDTHS {
-        let ms = if t == 1 {
-            bitmap_seq_ms
-        } else if let Some(&(_, ms)) = chunked_ms.iter().find(|&&(w, _)| w == t) {
-            ms
-        } else {
-            eprintln!("# perf[scaling]: timing rank-bitmap build at {t} threads ...");
-            let (dl, ms) = best_ms(rounds, build(Pruning::RankBitmap, Parallelism::Threads(t)));
-            assert_identical_labels(&format!("chunked-t{t}"), &dl, &dl_seed);
-            scaling_verified.push(t);
-            ms
-        };
-        scaling_build_ms.push(ms);
-    }
-    // The full identity matrix the acceptance criteria call for:
-    // every tested chunked width emits byte-identical labels.
-    let mut identity_widths = Vec::new();
-    for width in IDENTITY_WIDTHS {
-        if TIMED_WIDTHS.contains(&width) || scaling_verified.contains(&width) {
-            identity_widths.push(width); // already built and verified
-            continue;
-        }
-        eprintln!("# perf: verifying chunked label identity at {width} threads ...");
-        let dl = build(Pruning::RankBitmap, Parallelism::Threads(width))();
-        assert_identical_labels(&format!("chunked-t{width}"), &dl, &dl_seed);
-        identity_widths.push(width);
     }
     let build = EngineTimings {
         seed_merge_ms,
         bitmap_seq_ms,
-        chunked_ms,
+        two_sided_ms,
         auto_ms,
         auto_threads: Parallelism::Auto.resolve(n),
     };
@@ -965,10 +915,10 @@ pub fn run_perf(opts: &PerfOptions) -> PerfReport {
     // --- Cold start: save → drop → open the mapped arena. ------------
     let cold_start = run_cold_start(&oracle, &pairs, rounds, opts.seed);
 
-    // --- Query leg of the thread-scaling curve, same index + pairs
+    // --- Thread-scaling curve (batch query), same index + pairs
     // as the headline numbers so the curve is comparable.
     let mut scaling = Vec::with_capacity(SCALING_WIDTHS.len());
-    for (&t, &build_ms) in SCALING_WIDTHS.iter().zip(&scaling_build_ms) {
+    for &t in &SCALING_WIDTHS {
         eprintln!("# perf[scaling]: filtered batch at {t} thread(s) ...");
         let (answers, ms) = best_ms(rounds, || oracle.reaches_batch(&pairs, t));
         assert_eq!(
@@ -978,7 +928,6 @@ pub fn run_perf(opts: &PerfOptions) -> PerfReport {
         );
         scaling.push(ScalingStep {
             threads: t,
-            build_ms,
             query_qps: queries as f64 / (ms / 1e3).max(f64::MIN_POSITIVE),
         });
     }
@@ -1022,7 +971,6 @@ pub fn run_perf(opts: &PerfOptions) -> PerfReport {
         filter_integers: filters.size_in_integers(),
         signature_bytes: oracle.inner().labeling().signature_bytes(),
         build,
-        identity_widths,
         verdict_counts,
         families,
         cold_start,
@@ -1294,18 +1242,23 @@ impl PerfReport {
             ));
         }
         // Scaling sanity: on a multi-core host, the best parallel
-        // width must at least match sequential (same 5% / small-ms
-        // noise allowances as above). On a 1-core host extra threads
-        // are pure overhead, so the curve is recorded but not gated —
-        // the CI `perf-multicore` job is where this gate has teeth.
+        // query width and the two-sided build must at least match
+        // sequential (same 5% / small-ms noise allowances as above).
+        // On a 1-core host extra threads are pure overhead, so the
+        // numbers are recorded but not gated — the CI `perf-multicore`
+        // job is where this gate has teeth.
         if self.host_cores >= 2 {
             let seq = self
                 .scaling
                 .iter()
                 .find(|s| s.threads == 1)
                 .ok_or("scaling curve is missing the 1-thread point")?;
-            let parallel = self.scaling.iter().filter(|s| s.threads > 1);
-            let best_qps = parallel.clone().map(|s| s.query_qps).fold(0.0, f64::max);
+            let best_qps = self
+                .scaling
+                .iter()
+                .filter(|s| s.threads > 1)
+                .map(|s| s.query_qps)
+                .fold(0.0, f64::max);
             if best_qps < seq.query_qps * 0.95 {
                 return Err(format!(
                     "parallel batch query never matched sequential: best {:.0} q/s \
@@ -1313,12 +1266,11 @@ impl PerfReport {
                     best_qps, seq.query_qps
                 ));
             }
-            let best_build = parallel.map(|s| s.build_ms).fold(f64::INFINITY, f64::min);
-            if best_build > seq.build_ms * 1.05 + 25.0 {
+            let (two_sided, seq_build) = (self.build.two_sided_ms, self.build.bitmap_seq_ms);
+            if two_sided > seq_build * 1.05 + 25.0 {
                 return Err(format!(
-                    "parallel build never matched sequential: best {:.1} ms \
-                     vs 1-thread {:.1} ms",
-                    best_build, seq.build_ms
+                    "parallel build never matched sequential: two-sided {two_sided:.1} ms \
+                     vs 1-thread {seq_build:.1} ms"
                 ));
             }
         }
@@ -1459,15 +1411,15 @@ impl PerfReport {
         )
     }
 
-    /// The machine-readable report (`BENCH_9.json`, schema 7).
+    /// The machine-readable report (`BENCH_9.json` layout, schema 8).
     pub fn to_json(&self) -> String {
         let scaling = self
             .scaling
             .iter()
             .map(|s| {
                 format!(
-                    "    {{ \"threads\": {}, \"build_ms\": {:.2}, \"query_qps\": {:.0} }}",
-                    s.threads, s.build_ms, s.query_qps
+                    "    {{ \"threads\": {}, \"query_qps\": {:.0} }}",
+                    s.threads, s.query_qps
                 )
             })
             .collect::<Vec<_>>()
@@ -1560,19 +1512,6 @@ impl PerfReport {
             .map(|(v, c)| format!("    \"{}\": {c}", v.name()))
             .collect::<Vec<_>>()
             .join(",\n");
-        let chunked = self
-            .build
-            .chunked_ms
-            .iter()
-            .map(|(t, ms)| format!("    \"chunked_t{t}_ms\": {ms:.2}"))
-            .collect::<Vec<_>>()
-            .join(",\n");
-        let identity = self
-            .identity_widths
-            .iter()
-            .map(usize::to_string)
-            .collect::<Vec<_>>()
-            .join(", ");
         let families = self
             .families
             .iter()
@@ -1601,7 +1540,7 @@ impl PerfReport {
         format!(
             r#"{{
   "bench": "perf",
-  "schema": 7,
+  "schema": 8,
   "quick": {quick},
   "seed": {seed},
   "host_cores": {host_cores},
@@ -1619,11 +1558,10 @@ impl PerfReport {
   "build": {{
     "seed_merge_ms": {seed_merge:.2},
     "bitmap_seq_ms": {bitmap_seq:.2},
-{chunked},
+    "two_sided_ms": {two_sided:.2},
     "auto_ms": {auto:.2},
     "auto_threads": {auto_threads},
-    "speedup_auto_vs_seed": {build_speedup:.3},
-    "identical_label_thread_counts": [{identity}]
+    "speedup_auto_vs_seed": {build_speedup:.3}
   }},
   "query": {{
     "queries": {queries},
@@ -1693,6 +1631,7 @@ impl PerfReport {
             signature_bytes = self.signature_bytes,
             seed_merge = self.build.seed_merge_ms,
             bitmap_seq = self.build.bitmap_seq_ms,
+            two_sided = self.build.two_sided_ms,
             auto = self.build.auto_ms,
             auto_threads = self.build.auto_threads,
             build_speedup = self.build_speedup(),
@@ -1752,7 +1691,8 @@ mod tests {
         let json = report.to_json();
         for key in [
             "\"seed_merge_ms\"",
-            "\"chunked_t2_ms\"",
+            "\"two_sided_ms\"",
+            "\"auto_threads\"",
             "\"filtered_qps\"",
             "\"signature_cut\"",
             "\"deep_chain\"",
@@ -1839,24 +1779,29 @@ mod tests {
         report.scaling = vec![
             ScalingStep {
                 threads: 1,
-                build_ms: 10.0,
                 query_qps: 1_000_000.0,
             },
             ScalingStep {
                 threads: 4,
-                build_ms: 40.0,
                 query_qps: 200_000.0,
             },
         ];
+        report.build.bitmap_seq_ms = 10.0;
+        report.build.two_sided_ms = 40.0;
+        report.build.auto_ms = 10.0;
         report.host_cores = 1;
         report.check().expect("1-core host is not gated");
         // On a multi-core host the same flat curve fails.
         report.host_cores = 4;
         let err = report.check().unwrap_err();
         assert!(err.contains("parallel batch query"), "{err}");
-        // A healthy curve passes.
+        // So does a two-sided build slower than sequential.
         report.scaling[1].query_qps = 2_000_000.0;
-        report.scaling[1].build_ms = 6.0;
+        let err = report.check().unwrap_err();
+        assert!(err.contains("parallel build"), "{err}");
+        // A healthy curve passes.
+        report.build.two_sided_ms = 6.0;
+        report.build.auto_ms = 6.0;
         report.check().expect("healthy curve passes");
     }
 
@@ -1925,11 +1870,10 @@ mod tests {
             build: EngineTimings {
                 seed_merge_ms: 4.0,
                 bitmap_seq_ms: 2.0,
-                chunked_ms: vec![(2, 2.5), (4, 2.6)],
+                two_sided_ms: 2.5,
                 auto_ms: 2.0,
                 auto_threads: 1,
             },
-            identity_widths: IDENTITY_WIDTHS.to_vec(),
             verdict_counts: FilterVerdict::ALL
                 .iter()
                 .map(|&v| (v, counts.get(&v).copied().unwrap_or(0)))
@@ -1940,7 +1884,6 @@ mod tests {
                 .iter()
                 .map(|&t| ScalingStep {
                     threads: t,
-                    build_ms: 4.0 / t as f64 + 1.0,
                     query_qps: 1_000_000.0 * t as f64,
                 })
                 .collect(),

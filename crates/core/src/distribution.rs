@@ -30,7 +30,7 @@
 //! ### The hot-path build engine
 //!
 //! The textbook transcription of Algorithm 2 pays a full sorted-merge
-//! `L_out(u) ∩ L_in(v_i)` on **every** BFS pop. Two observations make
+//! `L_out(u) ∩ L_in(v_i)` on **every** BFS pop. Three observations make
 //! the build much faster without changing a single emitted label:
 //!
 //! 1. **Rank-bitmap pruning** ([`Pruning::RankBitmap`], the default).
@@ -40,86 +40,100 @@
 //!    epoch-stamped, rank-indexed membership array turns each test into
 //!    `O(|L_out(u)|)` probes with O(1) lookups — and the epoch stamp
 //!    makes the per-hop reset O(1) instead of O(n).
-//! 2. **N-thread chunked hop distribution** ([`Parallelism`]). Each
-//!    hop's BFSs run *level-synchronously*: a frontier is scanned, the
-//!    survivors get rank `r` appended, and their unvisited neighbors
-//!    form the next frontier. Within one level every frontier entry is
-//!    independent (the prune test reads only that vertex's own list
-//!    plus the per-hop snapshot), so large frontiers are split into
-//!    vertex-range chunks pulled from a shared atomic cursor by a
-//!    `std::thread`-scoped worker pool; the per-hop snapshot exchange
-//!    of the old two-thread engine is generalized to a barrier at each
-//!    level plus a shared epoch-stamped snapshot both sides read. The
-//!    set of vertices a hop labels is order-independent (each vertex is
-//!    claimed and tested exactly once, against state fixed at hop
-//!    start), so every thread count emits labels *byte-identical* to
-//!    the sequential engine — enforced by tests across
-//!    {1, 2, 3, 4, 8} threads.
+//! 2. **A prefetched BFS queue** (every engine). The pruned BFS keeps
+//!    its queue in a flat `Vec` and reads ahead of the pop cursor: it
+//!    prefetches the label-list header of the entry
+//!    `HEADER_AHEAD` pops away, and the list data plus the adjacency
+//!    slice of the entry `DATA_AHEAD` pops away — so by the time a
+//!    vertex is popped, the loads its prune test and expansion need
+//!    are already in flight. Hints change no result.
+//! 3. **The two-sided engine** ([`Parallelism`]). The reverse BFS of
+//!    hop `v_r` reads and writes only `L_out` (plus the fixed
+//!    `L_in(v_r)`), the forward BFS only `L_in` (plus the fixed
+//!    `L_out(v_r)`). So the calling thread runs every hop's reverse
+//!    side and owns `L_out`, one scoped thread runs every forward side
+//!    and owns `L_in`, and the only state they share is each side's
+//!    list of `v_r` *as of hop start*: at hop `r` each side copies its
+//!    own list of `v_r` into a two-slot snapshot buffer, publishes its
+//!    progress, and waits for the peer's snapshot before its BFS. By
+//!    Theorem 2 the labels hop `r` adds depend only on the labels at
+//!    the start of hop `r`, so this emits labels *byte-identical* to
+//!    the sequential engine — enforced by tests at every width.
 //!
 //! [`Pruning::SortedMerge`] keeps the original per-pop merge as a
 //! measurable reference — `paper perf` reports the speedup of the
-//! bitmap/chunked engine against it.
+//! rank-bitmap engines against it and checks their labels against it.
 
-use std::cell::UnsafeCell;
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard};
+use std::thread::Thread;
+use std::time::Instant;
 
 use hoplite_graph::traversal::VisitedSet;
-use hoplite_graph::{Dag, DiGraph, VertexId};
+use hoplite_graph::{Dag, VertexId};
 
 use crate::label::{sorted_intersect, Labeling, LabelingBuilder};
 use crate::metrics::BuildTrace;
 use crate::oracle::ReachIndex;
 use crate::order::OrderKind;
-use crate::store::Store;
+use crate::store::{prefetch, Store};
 
 /// Below this vertex count [`Parallelism::Auto`] stays sequential: the
-/// per-hop coordination costs more than tiny BFSs save.
+/// per-hop handoff costs more than tiny BFSs save.
 const PARALLEL_MIN_VERTICES: usize = 2_048;
 
-/// Frontier entries per chunk claimed from the shared cursor.
-const CHUNK: usize = 256;
+/// Pops ahead of the cursor whose label-list header `distribute`
+/// prefetches.
+const HEADER_AHEAD: usize = 8;
 
-/// Frontiers smaller than this are scanned inline by the coordinating
-/// thread — waking the pool costs more than the scan itself. Pruned
-/// BFS frontiers are tiny for most hops; the pool engages exactly on
-/// the early high-rank hops whose frontiers span much of the graph.
-const PAR_FRONTIER_MIN: usize = 2 * CHUNK;
+/// Pops ahead of the cursor whose label-list data and adjacency slice
+/// `distribute` prefetches. Shorter than [`HEADER_AHEAD`], so the
+/// header that locates the list data was requested earlier. Distances
+/// 1–4 measured within noise of each other on a 200k-vertex build; 2
+/// led most often.
+const DATA_AHEAD: usize = 2;
 
-/// Cap on [`Parallelism::Auto`]'s pool size: chunk scanning saturates
-/// memory bandwidth well before this on every graph we measure.
-const MAX_AUTO_THREADS: usize = 8;
+/// Spin iterations (about 80 µs) a two-sided build side waits for its
+/// peer before parking. Most hops are short, so a peer usually arrives
+/// within a few microseconds; the bound keeps a side that waits on a
+/// long hop from burning a core.
+const SPIN_LIMIT: u32 = 1 << 12;
 
-/// How many OS threads [`DistributionLabeling::build`] may use.
+/// A waiting side yields its CPU once per this many spin iterations.
+/// When both sides share one CPU (the other core is busy elsewhere),
+/// a pure spin holds the CPU the peer needs for the whole spin budget
+/// on every hop: a one-CPU two-sided build measured 6x slower than the
+/// sequential engine without the yield, and on par with it with one.
+const YIELD_EVERY: u32 = 64;
+
+/// How many OS threads [`DistributionLabeling::build`] may use: it picks
+/// the rank-bitmap engine, sequential or two-sided (module docs).
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub enum Parallelism {
-    /// One thread per available core (capped at `MAX_AUTO_THREADS`)
-    /// when the DAG has at least `PARALLEL_MIN_VERTICES` vertices and
-    /// the host has ≥ 2 cores; sequential otherwise.
+    /// The two-sided engine when the DAG has at least
+    /// `PARALLEL_MIN_VERTICES` vertices and the host has ≥ 2 cores;
+    /// sequential otherwise.
     #[default]
     Auto,
     /// Always build on the calling thread.
     Sequential,
-    /// Run the chunked engine with exactly this many threads (clamped
-    /// to ≥ 1; `Threads(1)` exercises the chunked code path with no
-    /// workers, even on graphs smaller than one chunk).
+    /// `t ≥ 2` runs the two-sided engine on 2 threads (a hop has two
+    /// sides) at any graph size; `t ≤ 1` runs the sequential engine.
     Threads(usize),
 }
 
 impl Parallelism {
-    /// The thread count this policy resolves to for an `n`-vertex DAG
-    /// on the current host — the number the build engines actually
-    /// use, exposed so reports (`paper perf`) state it without
-    /// re-deriving the policy.
+    /// The thread count the build really uses for an `n`-vertex DAG on
+    /// this host — 1 (sequential) or 2 (two-sided) — exposed so reports
+    /// (`paper perf`) state it without re-deriving the policy.
     pub fn resolve(self, n: usize) -> usize {
         match self {
-            Parallelism::Sequential => 1,
-            Parallelism::Threads(t) => t.max(1),
+            Parallelism::Sequential | Parallelism::Threads(0 | 1) => 1,
+            Parallelism::Threads(_) => 2,
             Parallelism::Auto => {
-                if n >= PARALLEL_MIN_VERTICES {
-                    std::thread::available_parallelism()
-                        .map_or(1, |p| p.get().min(MAX_AUTO_THREADS))
+                let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
+                if n >= PARALLEL_MIN_VERTICES && cores >= 2 {
+                    2
                 } else {
                     1
                 }
@@ -154,7 +168,33 @@ pub struct DlConfig {
     pub pruning: Pruning,
 }
 
-/// Epoch-stamped membership set over hop ranks `0..n`.
+/// The fixed side of one hop's prune test: `L_in(v_i)` for the reverse
+/// BFS, `L_out(v_i)` for the forward one, loaded once per hop side.
+trait PruneSet {
+    /// Replaces the set's contents with the sorted list `ranks`.
+    fn load(&mut self, ranks: &[u32]);
+    /// `true` iff the sorted list `ranks` shares an element with the set.
+    fn intersects(&self, ranks: &[u32]) -> bool;
+}
+
+/// The paper-literal prune test ([`Pruning::SortedMerge`]): a sorted
+/// merge per pop against a copy of the fixed list.
+struct MergeSet(Vec<u32>);
+
+impl PruneSet for MergeSet {
+    fn load(&mut self, ranks: &[u32]) {
+        self.0.clear();
+        self.0.extend_from_slice(ranks);
+    }
+
+    #[inline]
+    fn intersects(&self, ranks: &[u32]) -> bool {
+        sorted_intersect(ranks, &self.0)
+    }
+}
+
+/// Epoch-stamped membership set over hop ranks `0..n`
+/// ([`Pruning::RankBitmap`]).
 ///
 /// `load` snapshots one sorted rank list in `O(len)`; `intersects`
 /// then answers "does this other list share an element?" in
@@ -173,8 +213,9 @@ impl RankSet {
             epoch: 0,
         }
     }
+}
 
-    /// Starts a fresh epoch containing exactly `ranks`.
+impl PruneSet for RankSet {
     fn load(&mut self, ranks: &[u32]) {
         if self.epoch == u32::MAX {
             self.stamp.fill(0);
@@ -186,7 +227,6 @@ impl RankSet {
         }
     }
 
-    /// `true` iff any rank in `ranks` is in the current epoch's set.
     #[inline]
     fn intersects(&self, ranks: &[u32]) -> bool {
         ranks.iter().any(|&r| self.stamp[r as usize] == self.epoch)
@@ -222,9 +262,9 @@ impl DistributionLabeling {
 
     /// [`Self::build`] with construction-phase span tracing: the order
     /// computation, the hop-distribution loop, and the label freeze
-    /// each record a span into `trace`, and the sequential rank-bitmap
-    /// engine additionally records a per-hop duration histogram. With
-    /// `trace = None` this is exactly [`Self::build`] — the engines
+    /// each record a span into `trace`, and every engine records one
+    /// per-hop sample (the calling thread's wall time, waits included).
+    /// With `trace = None` this is exactly [`Self::build`] — the engines
     /// take one dead branch per hop and record nothing.
     pub fn build_traced(dag: &Dag, cfg: &DlConfig, trace: Option<&BuildTrace>) -> Self {
         let order = match trace {
@@ -277,16 +317,12 @@ impl DistributionLabeling {
                 !std::mem::replace(s, true)
             })
         });
-        let threads = cfg.parallelism.resolve(n);
-        // `Threads(t)` always takes the chunked engine (so the chunked
-        // code path is reachable at every width, including t = 1);
-        // `Auto`/`Sequential` resolving to one thread use the leaner
-        // sequential loop.
-        let engine = || match (cfg.pruning, cfg.parallelism) {
-            (Pruning::SortedMerge, _) => build_merge(dag, &order),
-            (Pruning::RankBitmap, Parallelism::Threads(_)) => build_chunked(dag, &order, threads),
-            (Pruning::RankBitmap, _) if threads == 1 => build_bitmap_sequential(dag, &order, trace),
-            (Pruning::RankBitmap, _) => build_chunked(dag, &order, threads),
+        let engine = || match cfg.pruning {
+            Pruning::SortedMerge => build_sequential(dag, &order, MergeSet(Vec::new()), trace),
+            Pruning::RankBitmap if cfg.parallelism.resolve(n) == 1 => {
+                build_sequential(dag, &order, RankSet::new(n), trace)
+            }
+            Pruning::RankBitmap => build_two_sided(dag, &order, trace),
         };
         let b = match trace {
             Some(t) => t.span("distribute", engine),
@@ -337,10 +373,10 @@ impl DistributionLabeling {
 /// expanding along `neighbors`. The prune test sees the visited
 /// vertex's current label list — a hit means that vertex already
 /// covers `v_i` through a higher-ranked hop, so neither it nor
-/// anything beyond it needs this hop. The three engines differ only in
-/// the closures they pass (merge vs bitmap probe; in- vs
-/// out-neighbors); the closures monomorphize, so the shared skeleton
-/// costs nothing on the hot path.
+/// anything beyond it needs this hop. The closures monomorphize, so
+/// the skeleton the engines share costs nothing on the hot path. The
+/// queue is a flat `Vec` walked by a cursor so the entries still to
+/// pop can be prefetched (module docs, point 2).
 fn distribute<'g>(
     side: &mut [Vec<u32>],
     vi: VertexId,
@@ -348,81 +384,59 @@ fn distribute<'g>(
     neighbors: impl Fn(VertexId) -> &'g [VertexId],
     prune: impl Fn(&[u32]) -> bool,
     visited: &mut VisitedSet,
-    queue: &mut VecDeque<VertexId>,
+    queue: &mut Vec<VertexId>,
 ) {
     visited.clear();
     queue.clear();
     visited.insert(vi);
-    queue.push_back(vi);
-    while let Some(u) = queue.pop_front() {
+    queue.push(vi);
+    let mut head = 0;
+    while let Some(&u) = queue.get(head) {
+        if let Some(&a) = queue.get(head + HEADER_AHEAD) {
+            prefetch(side, a as usize);
+        }
+        if let Some(&d) = queue.get(head + DATA_AHEAD) {
+            prefetch(&side[d as usize], 0);
+            prefetch(neighbors(d), 0);
+        }
+        head += 1;
         if prune(&side[u as usize]) {
             continue;
         }
         side[u as usize].push(r);
         for &w in neighbors(u) {
             if visited.insert(w) {
-                queue.push_back(w);
+                queue.push(w);
             }
         }
     }
 }
 
-/// The paper-literal engine: per-pop sorted-merge pruning, one thread.
-fn build_merge(dag: &Dag, order: &[VertexId]) -> LabelingBuilder {
-    let g = dag.graph();
-    let n = dag.num_vertices();
-    let mut b = LabelingBuilder::new(n);
-    let mut visited = VisitedSet::new(n);
-    let mut queue: VecDeque<VertexId> = VecDeque::new();
-
-    for (rank, &vi) in order.iter().enumerate() {
-        let r = rank as u32;
-        // Reverse BFS: distribute r into L_out of vi's ancestors.
-        distribute(
-            &mut b.out,
-            vi,
-            r,
-            |u| g.in_neighbors(u),
-            |l_out_u| sorted_intersect(l_out_u, &b.in_[vi as usize]),
-            &mut visited,
-            &mut queue,
-        );
-        // Forward BFS: distribute r into L_in of vi's descendants.
-        distribute(
-            &mut b.in_,
-            vi,
-            r,
-            |w| g.out_neighbors(w),
-            |l_in_w| sorted_intersect(l_in_w, &b.out[vi as usize]),
-            &mut visited,
-            &mut queue,
-        );
-    }
-    b
-}
-
-/// Rank-bitmap engine, single thread: one `RankSet` reused across hops
-/// and sides. Emits labels identical to [`build_merge`] — within a
-/// hop the membership snapshot equals the list the merge would scan
-/// (the reverse BFS never mutates `L_in(v_i)`, and the forward test
-/// can never observe its own rank `r` in any `L_in(w)`, so snapshot
-/// timing is irrelevant). With a trace, each hop's full distribution
-/// (both BFS sides) lands in the trace's per-hop histogram.
-fn build_bitmap_sequential(
+/// The single-thread engine: both sides of every hop on the calling
+/// thread, pruned against `members` (a merge for
+/// [`Pruning::SortedMerge`], a rank bitmap for [`Pruning::RankBitmap`]).
+/// Both prune sets emit identical labels — within a hop side the
+/// snapshot equals the list a live merge would scan (the reverse BFS
+/// never mutates `L_in(v_i)`, and the forward test can never observe
+/// its own rank `r` in any `L_in(w)`, so snapshot timing is
+/// irrelevant). With a trace, each hop's full distribution (both BFS
+/// sides) lands in the trace's per-hop histogram.
+fn build_sequential(
     dag: &Dag,
     order: &[VertexId],
+    mut members: impl PruneSet,
     trace: Option<&BuildTrace>,
 ) -> LabelingBuilder {
     let g = dag.graph();
     let n = dag.num_vertices();
     let mut b = LabelingBuilder::new(n);
     let mut visited = VisitedSet::new(n);
-    let mut queue: VecDeque<VertexId> = VecDeque::new();
-    let mut members = RankSet::new(n);
+    let mut queue = Vec::new();
 
     for (rank, &vi) in order.iter().enumerate() {
-        let hop_started = trace.map(|_| std::time::Instant::now());
+        let hop_started = trace.map(|_| Instant::now());
         let r = rank as u32;
+        // Reverse BFS: distribute r into L_out of vi's ancestors.
         members.load(&b.in_[vi as usize]);
         distribute(
             &mut b.out,
@@ -433,6 +447,7 @@ fn build_bitmap_sequential(
             &mut visited,
             &mut queue,
         );
+        // Forward BFS: distribute r into L_in of vi's descendants.
         members.load(&b.out[vi as usize]);
         distribute(
             &mut b.in_,
@@ -451,459 +466,128 @@ fn build_bitmap_sequential(
 }
 
 // ---------------------------------------------------------------------
-// The N-thread chunked engine
+// The two-sided engine
 // ---------------------------------------------------------------------
-//
-// Why chunking a pruned BFS is sound *and* byte-identical: within one
-// hop, a visited vertex `u` is popped exactly once (the visited set
-// claims it), its prune test reads only `u`'s own label list — which no
-// other vertex's processing in this hop can touch — and the fixed
-// per-hop snapshot. So the set of vertices that survive (and therefore
-// receive rank `r`) is a function of the hop-start state alone, not of
-// the processing order. Chunks may interleave arbitrarily across
-// threads and levels may gather next-frontiers in any order; the
-// emitted labels cannot differ.
-//
-// Snapshot timing matches the retired two-thread engine: both
-// snapshots are taken at hop start, *before* the reverse BFS runs. The
-// sequential engine loads `L_out(v_i)` after its reverse BFS (which
-// may have appended `r` to it), but the forward prune test compares
-// the snapshot against `L_in(w)` lists that cannot contain `r` before
-// their own append — so the timing difference is unobservable.
 
-/// Which side of a hop a level job belongs to.
-#[derive(Copy, Clone)]
-enum Side {
-    /// BFS over in-neighbors, appending to `L_out`.
-    Reverse,
-    /// BFS over out-neighbors, appending to `L_in`.
-    Forward,
+/// One side's half of the hop handoff (soundness: module docs, point
+/// 3). At hop `r` a side copies its own list of `v_r` into its slot
+/// `r & 1`, bumps `published` to `r + 1` (Release), waits until the
+/// peer's `published` reaches `r + 1` (Acquire), and loads the peer's
+/// slot `r & 1`. Two slots suffice: a side refills slot `r & 1` at hop
+/// `r + 2` only after it saw the peer publish hop `r + 1`, and the peer
+/// read that slot during hop `r`, before it published hop `r + 1`.
+#[derive(Default)]
+struct Lane {
+    /// Hops this side has published a snapshot for.
+    published: AtomicUsize,
+    /// The handoff never lets both sides hold one slot at once, so the
+    /// locks are never contended; they make the exchange safe code
+    /// rather than serialize it.
+    slots: [Mutex<Vec<u32>>; 2],
 }
 
-/// Epoch-stamped visited set with thread-safe claiming. The epoch is
-/// bumped by the coordinator between levels/sides (never concurrently
-/// with claims), so `Relaxed` loads of it are safe; claiming swaps the
-/// stamp so exactly one thread wins each vertex per epoch.
-struct AtomicVisited {
-    stamp: Vec<AtomicU32>,
-    epoch: AtomicU32,
-}
-
-impl AtomicVisited {
-    fn new(n: usize) -> Self {
-        AtomicVisited {
-            stamp: (0..n).map(|_| AtomicU32::new(0)).collect(),
-            epoch: AtomicU32::new(0),
-        }
+impl Lane {
+    /// The snapshot slot of hop `hop`.
+    fn slot(&self, hop: usize) -> MutexGuard<'_, Vec<u32>> {
+        self.slots[hop & 1].lock().expect("handoff slot poisoned")
     }
+}
 
-    /// Starts a fresh epoch. Coordinator only, with the pool idle.
-    fn next_epoch(&self) {
-        let e = self.epoch.load(Ordering::Relaxed);
-        if e == u32::MAX {
-            for s in &self.stamp {
-                s.store(0, Ordering::Relaxed);
+/// Releases the peer for good when its side ends, normally or by panic:
+/// a peer waiting on a panicked side would otherwise park forever and
+/// never be joined. A released peer runs on with stale snapshots, but
+/// the scope then re-raises the panic, so those labels are discarded.
+struct ReleaseOnExit<'a> {
+    lane: &'a Lane,
+    peer: &'a Thread,
+}
+
+impl Drop for ReleaseOnExit<'_> {
+    fn drop(&mut self) {
+        self.lane.published.store(usize::MAX, Ordering::Release);
+        self.peer.unpark();
+    }
+}
+
+/// Blocks until `lane` has published `hops` snapshots: a bounded spin
+/// that yields now and then, then `park` until the peer's `unpark`.
+fn wait_for(lane: &Lane, hops: usize) {
+    let mut spins = 0u32;
+    while lane.published.load(Ordering::Acquire) < hops {
+        if spins < SPIN_LIMIT {
+            spins += 1;
+            if spins % YIELD_EVERY == 0 {
+                std::thread::yield_now();
+            } else {
+                std::hint::spin_loop();
             }
-            self.epoch.store(1, Ordering::Relaxed);
         } else {
-            self.epoch.store(e + 1, Ordering::Relaxed);
-        }
-    }
-
-    /// `true` iff this call (among all concurrent ones) claimed `v` for
-    /// the current epoch.
-    #[inline]
-    fn claim(&self, v: VertexId) -> bool {
-        let e = self.epoch.load(Ordering::Relaxed);
-        self.stamp[v as usize].swap(e, Ordering::Relaxed) != e
-    }
-}
-
-/// A label side (`&mut [Vec<u32>]`) shared across chunk workers.
-///
-/// Safety contract: a level's frontier contains each vertex at most
-/// once ([`AtomicVisited::claim`]) and chunks partition the frontier,
-/// so no two threads ever hold the same cell; the coordinator touches
-/// cells only while the pool is parked (established by the job/done
-/// mutex handoffs).
-struct SharedLists {
-    ptr: *mut Vec<u32>,
-    len: usize,
-}
-
-unsafe impl Send for SharedLists {}
-unsafe impl Sync for SharedLists {}
-
-impl SharedLists {
-    fn new(lists: &mut [Vec<u32>]) -> Self {
-        SharedLists {
-            ptr: lists.as_mut_ptr(),
-            len: lists.len(),
-        }
-    }
-
-    /// # Safety
-    /// No other live reference to cell `v` may exist (see the struct
-    /// docs for how the engine guarantees that).
-    #[inline]
-    #[allow(clippy::mut_from_ref)]
-    unsafe fn cell(&self, v: VertexId) -> &mut Vec<u32> {
-        debug_assert!((v as usize) < self.len);
-        &mut *self.ptr.add(v as usize)
-    }
-}
-
-/// [`RankSet`] behind an `UnsafeCell` so the coordinator can reload it
-/// between hops while workers hold shared references during levels.
-struct SyncRankSet(UnsafeCell<RankSet>);
-
-unsafe impl Sync for SyncRankSet {}
-
-/// One level's worth of parallel work: scan `frontier`, append rank
-/// `r` to survivors on `side`. The frontier buffer lives on the
-/// coordinator's stack and is stable for the job's lifetime.
-#[derive(Copy, Clone)]
-struct LevelJob {
-    side: Side,
-    r: u32,
-    frontier: *const VertexId,
-    frontier_len: usize,
-}
-
-unsafe impl Send for LevelJob {}
-
-/// Latest published job plus the lifecycle flags workers watch.
-struct JobSlot {
-    /// Bumped on every publication; workers compare-and-sleep on it.
-    seq: u64,
-    /// Terminates the pool.
-    stop: bool,
-    job: Option<LevelJob>,
-}
-
-/// Everything the pool shares: job dispatch, the chunk cursor, the
-/// gathered next frontier, and completion tracking.
-struct Coordinator {
-    job: Mutex<JobSlot>,
-    job_cv: Condvar,
-    done: Mutex<usize>,
-    done_cv: Condvar,
-    cursor: AtomicUsize,
-    next: Mutex<Vec<VertexId>>,
-}
-
-impl Coordinator {
-    fn new() -> Self {
-        Coordinator {
-            job: Mutex::new(JobSlot {
-                seq: 0,
-                stop: false,
-                job: None,
-            }),
-            job_cv: Condvar::new(),
-            done: Mutex::new(0),
-            done_cv: Condvar::new(),
-            cursor: AtomicUsize::new(0),
-            next: Mutex::new(Vec::new()),
+            std::thread::park();
         }
     }
 }
 
-/// Scans one slice of a frontier: prune-test each vertex, append `r`
-/// to survivors, claim-and-collect their unvisited neighbors.
-#[inline]
-fn scan_frontier<'g>(
-    chunk: &[VertexId],
-    r: u32,
-    side: &SharedLists,
-    members: &RankSet,
-    visited: &AtomicVisited,
-    neighbors: impl Fn(VertexId) -> &'g [VertexId],
-    discovered: &mut Vec<VertexId>,
-) {
-    for &u in chunk {
-        // Safety: `u` appears exactly once in this level's frontier.
-        let list = unsafe { side.cell(u) };
-        if members.intersects(list) {
-            continue;
-        }
-        list.push(r);
-        for &w in neighbors(u) {
-            if visited.claim(w) {
-                discovered.push(w);
-            }
-        }
-    }
-}
-
-/// Claims chunks from the shared cursor until the frontier is
-/// exhausted, collecting discovered vertices into `local`.
-#[allow(clippy::too_many_arguments)]
-fn drain_chunks(
-    job: &LevelJob,
-    g: &DiGraph,
-    out: &SharedLists,
-    in_: &SharedLists,
-    members_rev: &SyncRankSet,
-    members_fwd: &SyncRankSet,
-    visited: &AtomicVisited,
-    cursor: &AtomicUsize,
-    local: &mut Vec<VertexId>,
-) {
-    // Safety: the coordinator keeps the frontier buffer alive and
-    // untouched until every participant reported done.
-    let frontier = unsafe { std::slice::from_raw_parts(job.frontier, job.frontier_len) };
-    loop {
-        let start = cursor.fetch_add(CHUNK, Ordering::Relaxed);
-        if start >= frontier.len() {
-            return;
-        }
-        let chunk = &frontier[start..(start + CHUNK).min(frontier.len())];
-        // Safety (members): reloaded only while the pool is parked.
-        match job.side {
-            Side::Reverse => scan_frontier(
-                chunk,
-                job.r,
-                out,
-                unsafe { &*members_rev.0.get() },
-                visited,
-                |u| g.in_neighbors(u),
-                local,
-            ),
-            Side::Forward => scan_frontier(
-                chunk,
-                job.r,
-                in_,
-                unsafe { &*members_fwd.0.get() },
-                visited,
-                |w| g.out_neighbors(w),
-                local,
-            ),
-        }
-    }
-}
-
-/// A pool worker: sleep until a new job (or stop) is published, drain
-/// chunks, hand discovered vertices to the shared next frontier,
-/// report done.
-#[allow(clippy::too_many_arguments)]
-fn worker_loop(
-    co: &Coordinator,
-    g: &DiGraph,
-    out: &SharedLists,
-    in_: &SharedLists,
-    members_rev: &SyncRankSet,
-    members_fwd: &SyncRankSet,
-    visited: &AtomicVisited,
-) {
-    let mut last_seen = 0u64;
-    let mut local: Vec<VertexId> = Vec::new();
-    loop {
-        let job = {
-            let mut slot = co.job.lock().expect("job lock");
-            loop {
-                if slot.stop {
-                    return;
-                }
-                if slot.seq != last_seen {
-                    break;
-                }
-                slot = co.job_cv.wait(slot).expect("job wait");
-            }
-            last_seen = slot.seq;
-            slot.job.expect("seq bumped with a job published")
-        };
-        drain_chunks(
-            &job,
-            g,
-            out,
-            in_,
-            members_rev,
-            members_fwd,
-            visited,
-            &co.cursor,
-            &mut local,
-        );
-        if !local.is_empty() {
-            co.next.lock().expect("next lock").append(&mut local);
-        }
-        {
-            let mut done = co.done.lock().expect("done lock");
-            *done += 1;
-        }
-        // Only the coordinator waits on this; notify_one suffices.
-        co.done_cv.notify_one();
-    }
-}
-
-/// Rank-bitmap engine, N-thread chunked: level-synchronous BFS where
-/// large frontiers are split into [`CHUNK`]-sized ranges pulled from a
-/// shared atomic cursor by `threads − 1` long-lived scoped workers
-/// (plus the coordinator itself). Small frontiers — the common case on
-/// pruned hops — are scanned inline without waking the pool. Emits
-/// labels byte-identical to [`build_bitmap_sequential`] at every
-/// thread count (see the module docs for the argument; enforced by
-/// tests).
-fn build_chunked(dag: &Dag, order: &[VertexId], threads: usize) -> LabelingBuilder {
-    let g = dag.graph();
-    let n = dag.num_vertices();
-    let mut out: Vec<Vec<u32>> = vec![Vec::new(); n];
-    let mut in_: Vec<Vec<u32>> = vec![Vec::new(); n];
-    let workers = threads.saturating_sub(1);
-    {
-        let out_shared = SharedLists::new(&mut out);
-        let in_shared = SharedLists::new(&mut in_);
-        let members_rev = SyncRankSet(UnsafeCell::new(RankSet::new(n)));
-        let members_fwd = SyncRankSet(UnsafeCell::new(RankSet::new(n)));
-        let visited = AtomicVisited::new(n);
-        let co = Coordinator::new();
-
-        std::thread::scope(|s| {
-            for _ in 0..workers {
-                s.spawn(|| {
-                    worker_loop(
-                        &co,
-                        g,
-                        &out_shared,
-                        &in_shared,
-                        &members_rev,
-                        &members_fwd,
-                        &visited,
-                    )
-                });
-            }
-            run_hops(
-                order,
-                g,
-                &out_shared,
-                &in_shared,
-                &members_rev,
-                &members_fwd,
-                &visited,
-                &co,
-                workers,
-            );
-            let mut slot = co.job.lock().expect("job lock");
-            slot.stop = true;
-            drop(slot);
-            co.job_cv.notify_all();
-        });
-    }
-    LabelingBuilder { out, in_ }
-}
-
-/// The coordinator body of [`build_chunked`]: the per-hop loop.
-#[allow(clippy::too_many_arguments)]
-fn run_hops(
+/// One side of the two-sided engine: every hop's BFS over `neighbors`,
+/// appending to `own` (the side's label array), pruned against the
+/// peer's hop-start snapshot taken from `theirs`. With a trace, each
+/// hop's wall time on this thread (wait included) is recorded.
+fn run_side<'g>(
     order: &[VertexId],
-    g: &DiGraph,
-    out_shared: &SharedLists,
-    in_shared: &SharedLists,
-    members_rev: &SyncRankSet,
-    members_fwd: &SyncRankSet,
-    visited: &AtomicVisited,
-    co: &Coordinator,
-    workers: usize,
+    own: &mut [Vec<u32>],
+    neighbors: impl Fn(VertexId) -> &'g [VertexId],
+    mine: &Lane,
+    theirs: &Lane,
+    peer: &Thread,
+    trace: Option<&BuildTrace>,
 ) {
-    let mut frontier: Vec<VertexId> = Vec::new();
-    let mut next: Vec<VertexId> = Vec::new();
+    let _release = ReleaseOnExit { lane: mine, peer };
+    let n = own.len();
+    let mut visited = VisitedSet::new(n);
+    let mut queue = Vec::new();
+    let mut members = RankSet::new(n);
     for (rank, &vi) in order.iter().enumerate() {
-        let r = rank as u32;
-        // Hop-start snapshots for both sides (the shared epoch
-        // snapshot; see the timing note above). Safety: pool parked.
-        unsafe {
-            (*members_rev.0.get()).load(in_shared.cell(vi));
-            (*members_fwd.0.get()).load(out_shared.cell(vi));
-        }
-        for side in [Side::Reverse, Side::Forward] {
-            visited.next_epoch();
-            let claimed = visited.claim(vi);
-            debug_assert!(claimed, "fresh epoch cannot have claimed vi");
-            frontier.clear();
-            frontier.push(vi);
-            while !frontier.is_empty() {
-                next.clear();
-                let job = LevelJob {
-                    side,
-                    r,
-                    frontier: frontier.as_ptr(),
-                    frontier_len: frontier.len(),
-                };
-                if workers == 0 || frontier.len() < PAR_FRONTIER_MIN {
-                    // Inline scan; never wakes the pool.
-                    co.cursor.store(0, Ordering::Relaxed);
-                    drain_chunks(
-                        &job,
-                        g,
-                        out_shared,
-                        in_shared,
-                        members_rev,
-                        members_fwd,
-                        visited,
-                        &co.cursor,
-                        &mut next,
-                    );
-                } else {
-                    run_level_parallel(
-                        &job,
-                        g,
-                        out_shared,
-                        in_shared,
-                        members_rev,
-                        members_fwd,
-                        visited,
-                        co,
-                        workers,
-                        &mut next,
-                    );
-                }
-                std::mem::swap(&mut frontier, &mut next);
-            }
+        let hop_started = trace.map(|_| Instant::now());
+        mine.slot(rank).clone_from(&own[vi as usize]);
+        mine.published.store(rank + 1, Ordering::Release);
+        peer.unpark();
+        wait_for(theirs, rank + 1);
+        members.load(&theirs.slot(rank));
+        distribute(
+            own,
+            vi,
+            rank as u32,
+            &neighbors,
+            |l| members.intersects(l),
+            &mut visited,
+            &mut queue,
+        );
+        if let (Some(t), Some(started)) = (trace, hop_started) {
+            t.record_hop(started.elapsed().as_nanos() as u64);
         }
     }
 }
 
-/// Fans one big level out over the pool: publish the job, participate
-/// in the chunk scan, wait for every worker (the level barrier),
-/// gather the next frontier.
-#[allow(clippy::too_many_arguments)]
-fn run_level_parallel(
-    job: &LevelJob,
-    g: &DiGraph,
-    out_shared: &SharedLists,
-    in_shared: &SharedLists,
-    members_rev: &SyncRankSet,
-    members_fwd: &SyncRankSet,
-    visited: &AtomicVisited,
-    co: &Coordinator,
-    workers: usize,
-    next: &mut Vec<VertexId>,
-) {
-    co.cursor.store(0, Ordering::Relaxed);
-    *co.done.lock().expect("done lock") = 0;
-    {
-        let mut slot = co.job.lock().expect("job lock");
-        slot.seq += 1;
-        slot.job = Some(*job);
-    }
-    co.job_cv.notify_all();
-    drain_chunks(
-        job,
-        g,
-        out_shared,
-        in_shared,
-        members_rev,
-        members_fwd,
-        visited,
-        &co.cursor,
-        next,
-    );
-    let mut done = co.done.lock().expect("done lock");
-    while *done < workers {
-        done = co.done_cv.wait(done).expect("done wait");
-    }
-    drop(done);
-    next.append(&mut co.next.lock().expect("next lock"));
+/// Rank-bitmap engine on two threads: the calling thread runs every
+/// hop's reverse side and owns `L_out`, one scoped thread runs every
+/// forward side and owns `L_in`, in lockstep by hop. Emits labels
+/// byte-identical to [`build_sequential`]. With a trace, the per-hop
+/// histogram gets the calling thread's samples.
+fn build_two_sided(dag: &Dag, order: &[VertexId], trace: Option<&BuildTrace>) -> LabelingBuilder {
+    let g = dag.graph();
+    let LabelingBuilder { mut out, mut in_ } = LabelingBuilder::new(dag.num_vertices());
+    let (reverse, forward) = (Lane::default(), Lane::default());
+    let caller = std::thread::current();
+    std::thread::scope(|s| {
+        let forward_side = s.spawn(|| {
+            let fwd = |w| g.out_neighbors(w);
+            run_side(order, &mut in_, fwd, &forward, &reverse, &caller, None);
+        });
+        let rev = |u| g.in_neighbors(u);
+        let peer = forward_side.thread();
+        run_side(order, &mut out, rev, &reverse, &forward, peer, trace);
+        forward_side.join().expect("forward build side panicked");
+    });
+    LabelingBuilder { out, in_ }
 }
 
 impl ReachIndex for DistributionLabeling {
@@ -1068,9 +752,36 @@ mod tests {
         }
     }
 
+    /// Asserts `dl` carries exactly `reference`'s order and labels.
+    fn assert_identical(dl: &DistributionLabeling, reference: &DistributionLabeling, ctx: &str) {
+        assert_eq!(dl.order(), reference.order(), "{ctx}");
+        for v in 0..reference.order().len() as VertexId {
+            assert_eq!(
+                dl.labeling().out_label(v),
+                reference.labeling().out_label(v),
+                "{ctx}, L_out({v})"
+            );
+            assert_eq!(
+                dl.labeling().in_label(v),
+                reference.labeling().in_label(v),
+                "{ctx}, L_in({v})"
+            );
+        }
+    }
+
+    fn build_with(dag: &Dag, parallelism: Parallelism) -> DistributionLabeling {
+        DistributionLabeling::build(
+            dag,
+            &DlConfig {
+                parallelism,
+                ..DlConfig::default()
+            },
+        )
+    }
+
     /// Every engine combination — seed merge, rank-bitmap sequential,
-    /// rank-bitmap chunked at several widths — must emit byte-identical
-    /// labels; the knobs trade construction time only.
+    /// rank-bitmap two-sided — must emit byte-identical labels; the
+    /// knobs trade construction time only.
     #[test]
     fn all_engines_emit_identical_labels() {
         let engines = [
@@ -1101,48 +812,25 @@ mod tests {
                 let reference = &built[0];
                 assert_matches_bfs(&dag, reference);
                 for (i, dl) in built.iter().enumerate().skip(1) {
-                    assert_eq!(dl.order(), reference.order());
-                    for v in 0..dag.num_vertices() as VertexId {
-                        assert_eq!(
-                            dl.labeling().out_label(v),
-                            reference.labeling().out_label(v),
-                            "engine {i}, L_out({v}), seed {seed}"
-                        );
-                        assert_eq!(
-                            dl.labeling().in_label(v),
-                            reference.labeling().in_label(v),
-                            "engine {i}, L_in({v}), seed {seed}"
-                        );
-                    }
+                    assert_identical(dl, reference, &format!("engine {i}, seed {seed}"));
                 }
             }
         }
     }
 
-    /// The chunked engine must also hold on degenerate shapes where
-    /// one side's BFS is empty or the whole graph is edge-free — all
-    /// far smaller than one chunk.
+    /// The two-sided engine must also hold on degenerate shapes where
+    /// one side's BFS is empty or the whole graph is edge-free.
     #[test]
-    fn chunked_engine_handles_degenerate_graphs() {
+    fn two_sided_engine_handles_degenerate_graphs() {
         for threads in [1usize, 2, 8] {
-            let force = DlConfig {
-                parallelism: Parallelism::Threads(threads),
-                ..DlConfig::default()
-            };
             for dag in [
                 Dag::from_edges(0, &[]).unwrap(),
                 Dag::from_edges(1, &[]).unwrap(),
                 Dag::from_edges(5, &[]).unwrap(),
                 Dag::from_edges(4, &[(0, 1), (1, 2), (2, 3)]).unwrap(),
             ] {
-                let par = DistributionLabeling::build(&dag, &force);
-                let seq = DistributionLabeling::build(
-                    &dag,
-                    &DlConfig {
-                        parallelism: Parallelism::Sequential,
-                        ..DlConfig::default()
-                    },
-                );
+                let par = build_with(&dag, Parallelism::Threads(threads));
+                let seq = build_with(&dag, Parallelism::Sequential);
                 assert_eq!(
                     par.labeling().total_entries(),
                     seq.labeling().total_entries(),
@@ -1153,89 +841,101 @@ mod tests {
         }
     }
 
-    /// The satellite matrix: the chunked engine emits byte-identical
-    /// labels at widths {1, 2, 3, 4, 8}, on graphs both larger and
-    /// smaller than the chunk size (CHUNK = 256 frontier entries) and
-    /// across graph families.
+    /// The satellite matrix: every width in {1, 2, 3, 4, 8} (1 runs the
+    /// sequential engine, the rest the two-sided one) emits
+    /// byte-identical labels across graph families and sizes.
     #[test]
-    fn chunked_engine_byte_identical_across_thread_matrix() {
+    fn two_sided_engine_byte_identical_across_thread_matrix() {
         for (dag, what) in [
             (gen::random_dag(600, 2_400, 5), "random 600"),
-            (gen::random_dag(40, 120, 6), "random 40 (sub-chunk)"),
+            (gen::random_dag(40, 120, 6), "random 40"),
             (gen::power_law_dag(300, 900, 7), "power-law 300"),
             (gen::tree_plus_dag(500, 60, 8), "tree 500"),
         ] {
-            let reference = DistributionLabeling::build(
-                &dag,
-                &DlConfig {
-                    parallelism: Parallelism::Sequential,
-                    ..DlConfig::default()
-                },
-            );
+            let reference = build_with(&dag, Parallelism::Sequential);
             for threads in [1usize, 2, 3, 4, 8] {
-                let chunked = DistributionLabeling::build(
-                    &dag,
-                    &DlConfig {
-                        parallelism: Parallelism::Threads(threads),
-                        ..DlConfig::default()
-                    },
-                );
-                assert_eq!(chunked.order(), reference.order(), "{what}, t={threads}");
-                for v in 0..dag.num_vertices() as VertexId {
-                    assert_eq!(
-                        chunked.labeling().out_label(v),
-                        reference.labeling().out_label(v),
-                        "{what}, t={threads}, L_out({v})"
-                    );
-                    assert_eq!(
-                        chunked.labeling().in_label(v),
-                        reference.labeling().in_label(v),
-                        "{what}, t={threads}, L_in({v})"
-                    );
-                }
+                let built = build_with(&dag, Parallelism::Threads(threads));
+                assert_identical(&built, &reference, &format!("{what}, t={threads}"));
             }
         }
     }
 
+    /// Lopsided shapes, where one side's BFS covers the graph while
+    /// the other's stops at the root: one side does nearly all the work
+    /// while the other waits, so the handoff's wait and park paths carry
+    /// the whole build. Under the degree-product order every hop of a
+    /// chain forwards over the rest of it, so its labels are quadratic
+    /// and its prune probes cubic in the length: the chain and the
+    /// broom handle stay short, the stars take the vertex count.
+    #[test]
+    fn two_sided_engine_byte_identical_on_lopsided_graphs() {
+        let k = 5_000u32;
+        let in_star: Vec<(u32, u32)> = (1..k).map(|v| (v, 0)).collect();
+        let out_star: Vec<(u32, u32)> = (1..k).map(|v| (0, v)).collect();
+        // A broom: a 100-vertex handle whose tip fans out to the rest.
+        let broom: Vec<(u32, u32)> = (0..99)
+            .map(|v| (v, v + 1))
+            .chain((100..k).map(|v| (99, v)))
+            .collect();
+        let chain: Vec<(u32, u32)> = (0..399).map(|v| (v, v + 1)).collect();
+        for (n, edges, what) in [
+            (k as usize, in_star, "in-star"),
+            (k as usize, out_star, "out-star"),
+            (k as usize, broom, "broom"),
+            (400, chain, "chain 400"),
+        ] {
+            let dag = Dag::from_edges(n, &edges).unwrap();
+            let reference = build_with(&dag, Parallelism::Sequential);
+            let built = build_with(&dag, Parallelism::Threads(2));
+            assert_identical(&built, &reference, what);
+        }
+    }
+
+    /// `resolve` reports the threads the build really uses. Below
+    /// `PARALLEL_MIN_VERTICES` `Auto` stays sequential, and forcing the
+    /// two-sided engine there changes no label.
+    #[test]
+    fn resolve_reports_the_threads_actually_used() {
+        assert_eq!(Parallelism::Sequential.resolve(1 << 20), 1);
+        for (t, want) in [(0, 1), (1, 1), (2, 2), (3, 2), (8, 2)] {
+            assert_eq!(Parallelism::Threads(t).resolve(10), want, "Threads({t})");
+        }
+        let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
+        let big = Parallelism::Auto.resolve(PARALLEL_MIN_VERTICES);
+        assert_eq!(big, if cores >= 2 { 2 } else { 1 });
+
+        let dag = gen::random_dag(PARALLEL_MIN_VERTICES - 48, 6_000, 12);
+        assert_eq!(Parallelism::Auto.resolve(dag.num_vertices()), 1);
+        let reference = build_with(&dag, Parallelism::Sequential);
+        assert_identical(&build_with(&dag, Parallelism::Auto), &reference, "auto");
+        let built = build_with(&dag, Parallelism::Threads(2));
+        assert_identical(&built, &reference, "threads=2");
+    }
+
     /// Tracing must be an observer: a traced build emits exactly the
     /// labels of the untraced one and records the expected spans and
-    /// per-hop samples.
+    /// one per-hop sample per vertex, on both rank-bitmap engines.
     #[test]
     fn traced_build_is_label_identical_and_records_spans() {
         use crate::metrics::BuildTrace;
         let dag = gen::random_dag(120, 360, 9);
         let plain = DistributionLabeling::build(&dag, &DlConfig::default());
-        let trace = BuildTrace::new();
-        let cfg = DlConfig {
-            parallelism: Parallelism::Sequential,
-            ..DlConfig::default()
-        };
-        let traced = DistributionLabeling::build_traced(&dag, &cfg, Some(&trace));
-        assert_eq!(traced.order(), plain.order());
-        for v in 0..dag.num_vertices() as VertexId {
+        for parallelism in [Parallelism::Sequential, Parallelism::Threads(2)] {
+            let trace = BuildTrace::new();
+            let cfg = DlConfig {
+                parallelism,
+                ..DlConfig::default()
+            };
+            let traced = DistributionLabeling::build_traced(&dag, &cfg, Some(&trace));
+            assert_identical(&traced, &plain, &format!("{parallelism:?}"));
+            let names: Vec<String> = trace.spans().iter().map(|s| s.name.clone()).collect();
+            assert_eq!(names, ["order", "distribute", "freeze"]);
             assert_eq!(
-                traced.labeling().out_label(v),
-                plain.labeling().out_label(v)
+                trace.hop_snapshot().count(),
+                dag.num_vertices() as u64,
+                "{parallelism:?}"
             );
-            assert_eq!(traced.labeling().in_label(v), plain.labeling().in_label(v));
         }
-        let names: Vec<String> = trace.spans().iter().map(|s| s.name.clone()).collect();
-        assert_eq!(names, ["order", "distribute", "freeze"]);
-        // The sequential engine records one hop sample per vertex.
-        assert_eq!(trace.hop_snapshot().count(), dag.num_vertices() as u64);
-        // The chunked engine records spans but no per-hop histogram.
-        let trace_par = BuildTrace::new();
-        let cfg_par = DlConfig {
-            parallelism: Parallelism::Threads(2),
-            ..DlConfig::default()
-        };
-        let chunked = DistributionLabeling::build_traced(&dag, &cfg_par, Some(&trace_par));
-        assert_eq!(
-            chunked.labeling().total_entries(),
-            plain.labeling().total_entries()
-        );
-        assert_eq!(trace_par.spans().len(), 3);
-        assert_eq!(trace_par.hop_snapshot().count(), 0);
     }
 
     #[test]

@@ -58,6 +58,28 @@ fn assert_oracle_matches_bfs(g: &DiGraph, oracle: &Oracle, ctx: &str) {
     }
 }
 
+/// Asserts both oracles carry the same condensation and byte-identical
+/// labels.
+fn assert_same_labels(a: &Oracle, b: &Oracle, ctx: &str) {
+    assert_eq!(a.comp_of(), b.comp_of(), "{ctx}: condensation");
+    let (la, lb) = (a.inner().labeling(), b.inner().labeling());
+    assert_eq!(a.inner().order(), b.inner().order(), "{ctx}: order");
+    for c in 0..a.num_components() as VertexId {
+        assert_eq!(la.out_label(c), lb.out_label(c), "{ctx}: L_out({c})");
+        assert_eq!(la.in_label(c), lb.in_label(c), "{ctx}: L_in({c})");
+    }
+}
+
+fn with_parallelism(g: &DiGraph, parallelism: Parallelism) -> Oracle {
+    Oracle::with_config(
+        g,
+        &DlConfig {
+            parallelism,
+            ..DlConfig::default()
+        },
+    )
+}
+
 #[test]
 fn filtered_unfiltered_and_bfs_agree_on_random_cyclic_digraphs() {
     for seed in 0..8u64 {
@@ -68,12 +90,18 @@ fn filtered_unfiltered_and_bfs_agree_on_random_cyclic_digraphs() {
         let g = random_cyclic_digraph(n, m, 0xC0FFEE ^ seed);
         let oracle = Oracle::new(&g);
         assert_oracle_matches_bfs(&g, &oracle, &format!("seed {seed}"));
+        // `Auto` builds these small graphs sequentially; the forced
+        // two-sided build must feed the same oracle.
+        let two_sided = with_parallelism(&g, Parallelism::Threads(2));
+        assert_same_labels(&two_sided, &oracle, &format!("seed {seed}, two-sided"));
+        assert_oracle_matches_bfs(&g, &two_sided, &format!("seed {seed}, two-sided"));
     }
 }
 
 #[test]
 fn every_build_engine_feeds_an_equivalent_oracle() {
     let g = random_cyclic_digraph(70, 250, 99);
+    let sequential = with_parallelism(&g, Parallelism::Sequential);
     for (pruning, parallelism) in [
         (Pruning::SortedMerge, Parallelism::Sequential),
         (Pruning::RankBitmap, Parallelism::Sequential),
@@ -88,7 +116,9 @@ fn every_build_engine_feeds_an_equivalent_oracle() {
                 ..DlConfig::default()
             },
         );
-        assert_oracle_matches_bfs(&g, &oracle, &format!("{pruning:?}/{parallelism:?}"));
+        let ctx = format!("{pruning:?}/{parallelism:?}");
+        assert_same_labels(&oracle, &sequential, &ctx);
+        assert_oracle_matches_bfs(&g, &oracle, &ctx);
     }
 }
 
