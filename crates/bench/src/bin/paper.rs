@@ -152,7 +152,7 @@ fn main() {
 /// `paper perf [--quick] [--check] [--out=FILE] [--seed=N] [--no-wire]`
 /// — runs the hot-path suite (`hoplite_bench::perf`), prints the JSON
 /// report to stdout (and `--out=FILE`), and with `--check` enforces the
-/// CI invariants (filter/auto/scaling/metrics-overhead/wire gates; see
+/// CI invariants (filter/build/scaling/metrics-overhead/wire gates; see
 /// `PerfReport::check`). `--no-wire` skips the wire sweep, for
 /// sandboxes without loopback TCP.
 fn perf_cmd(args: &[String]) {
@@ -193,11 +193,11 @@ fn perf_cmd(args: &[String]) {
         eprintln!("# perf: report written to {path}");
     }
     eprintln!(
-        "# perf: build {:.0} ms (seed merge) -> {:.0} ms (auto), {:.2}x; \
+        "# perf: build {:.0} ms (seed merge) -> {:.0} ms (rank bitmap), {:.2}x; \
          query {:.2} Mq/s (unfiltered) -> {:.2} Mq/s (filtered), hit rate {:.1}%; \
          stages filter/sig/merge = {}/{}/{}",
         report.build.seed_merge_ms,
-        report.build.auto_ms,
+        report.build.bitmap_seq_ms,
         report.build_speedup(),
         report.main.unfiltered_qps / 1e6,
         report.main.filtered_qps / 1e6,
@@ -220,17 +220,10 @@ fn perf_cmd(args: &[String]) {
         "# perf[cold]: mapped (v3) open {:.2} ms vs build {:.0} ms, {:.1}x \
          ({:.2} ms unverified; file {} bytes)",
         report.cold_start.mapped_open_ms,
-        report.build.auto_ms,
+        report.build.bitmap_seq_ms,
         report.open_vs_build_speedup(),
         report.cold_start.mapped_unverified_open_ms,
         report.cold_start.v3_file_bytes,
-    );
-    eprintln!(
-        "# perf[build]: sequential {:.0} ms, two-sided {:.0} ms, auto ({} thr) {:.0} ms",
-        report.build.bitmap_seq_ms,
-        report.build.two_sided_ms,
-        report.build.auto_threads,
-        report.build.auto_ms
     );
     for s in &report.scaling {
         eprintln!(

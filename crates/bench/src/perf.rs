@@ -4,11 +4,10 @@
 //! (the `BENCH_*.json` trajectory the ROADMAP calls for):
 //!
 //! * **Construction** — the seed per-pop sorted-merge build
-//!   ([`Pruning::SortedMerge`]) against the rank-bitmap engines,
-//!   sequential and two-sided ([`Parallelism::Threads`]), plus the
-//!   shipped default ([`Parallelism::Auto`]) and the thread count it
-//!   resolved to. Every engine is verified to emit **byte-identical
-//!   labels** before any number is reported.
+//!   ([`Pruning::SortedMerge`]) against the shipped rank-bitmap
+//!   engine ([`Pruning::RankBitmap`]). The rank-bitmap build is
+//!   verified to emit **byte-identical labels** before any number is
+//!   reported.
 //! * **Query** — filtered vs unfiltered batch throughput through
 //!   [`Oracle::reaches_batch`] / [`Oracle::reaches_batch_unfiltered`],
 //!   per-layer [`FilterVerdict`] hit rates, and the
@@ -22,9 +21,8 @@
 //! * **Thread scaling** — batch-query throughput on the headline
 //!   index at 1/2/4/8 threads, the curve the CI `perf-multicore` job
 //!   records so a parallelism regression shows up as a flat line
-//!   instead of staying invisible on 1-core runners. The build leg is
-//!   the construction stage's sequential vs two-sided pair (the build
-//!   uses at most two threads).
+//!   instead of staying invisible on 1-core runners. (The build runs
+//!   on one thread, so it has no curve.)
 //! * **Wire** — QPS vs concurrent-connection count through a *real*
 //!   reactor-mode [`hoplite_server::Server`] in a child process, driven
 //!   by [`hoplite_server::loadgen`] over loopback TCP (child process
@@ -59,9 +57,9 @@
 //! fast-but-wrong regression fails the run instead of producing a
 //! flattering number. `--check` additionally enforces the CI
 //! invariants (nonzero filter hit rate, filtered throughput at least
-//! matching unfiltered, `Parallelism::Auto` landing within 10% of
-//! the best individual engine on the host — Auto must never pick a
-//! loser — plus, on multi-core hosts, parallel build/query at least
+//! matching unfiltered, the rank-bitmap build landing within 10% of
+//! the seed merge build — the shipped engine must never be the
+//! loser — plus, on multi-core hosts, parallel batch query at least
 //! matching sequential, and a wire-QPS floor with zero error replies
 //! on every sweep step).
 //!
@@ -75,8 +73,8 @@ use std::path::PathBuf;
 use std::time::Instant;
 
 use hoplite_core::{
-    DistributionLabeling, DlConfig, FilterVerdict, Histogram, OpenOptions, Oracle, Parallelism,
-    Pruning, QueryTally,
+    DistributionLabeling, DlConfig, FilterVerdict, Histogram, OpenOptions, Oracle, Pruning,
+    QueryTally,
 };
 use hoplite_graph::{gen, Dag};
 use hoplite_server::{loadgen, LoadSpec};
@@ -145,23 +143,8 @@ impl Default for PerfOptions {
 pub struct EngineTimings {
     /// Seed engine: per-pop sorted merge, single thread.
     pub seed_merge_ms: f64,
-    /// Rank-bitmap engine, single thread.
+    /// Rank-bitmap engine, single thread — the shipped default.
     pub bitmap_seq_ms: f64,
-    /// Rank-bitmap engine, two-sided (`Parallelism::Threads(2)`).
-    pub two_sided_ms: f64,
-    /// The shipped default (`Parallelism::Auto`).
-    pub auto_ms: f64,
-    /// Threads `Auto` resolved to on this host.
-    pub auto_threads: usize,
-}
-
-impl EngineTimings {
-    /// Fastest individual engine time — the bar `Auto` is held to.
-    pub fn best_ms(&self) -> f64 {
-        self.seed_merge_ms
-            .min(self.bitmap_seq_ms)
-            .min(self.two_sided_ms)
-    }
 }
 
 /// Cold-start measurements on the headline index: save → drop → open
@@ -267,7 +250,7 @@ pub struct FamilyReport {
     pub components: usize,
     /// Total hop-label entries of the built index.
     pub label_entries: u64,
-    /// `Parallelism::Auto` build time.
+    /// Default-config build time.
     pub build_auto_ms: f64,
     /// Query batch size.
     pub queries: usize,
@@ -835,10 +818,9 @@ pub fn run_perf(opts: &PerfOptions) -> PerfReport {
 
     // --- Construction engines. ------------------------------------
     let dag_ref = &dag;
-    let build = |pruning: Pruning, parallelism: Parallelism| {
+    let build = |pruning: Pruning| {
         let cfg = DlConfig {
             pruning,
-            parallelism,
             ..DlConfig::default()
         };
         move || DistributionLabeling::build(dag_ref, &cfg)
@@ -848,35 +830,22 @@ pub fn run_perf(opts: &PerfOptions) -> PerfReport {
     // on shared hosts machine-load phases last seconds, and measuring
     // each engine in its own phase can skew identical code paths by
     // tens of percent — interleaving exposes every engine to the same
-    // phases, which the Auto-vs-best `--check` guard depends on.
+    // phases, which the bitmap-vs-merge `--check` guard depends on.
     let mut seed_merge_ms = f64::INFINITY;
     let mut bitmap_seq_ms = f64::INFINITY;
-    let mut two_sided_ms = f64::INFINITY;
-    let mut auto_ms = f64::INFINITY;
-    let mut dl_seed: Option<DistributionLabeling> = None;
     for round in 0..rounds {
         eprintln!("# perf: timing build engines, round {} ...", round + 1);
-        let (dl, ms) = time_ms(build(Pruning::SortedMerge, Parallelism::Sequential));
+        let (dl_seed, ms) = time_ms(build(Pruning::SortedMerge));
         seed_merge_ms = seed_merge_ms.min(ms);
-        let dl_seed = dl_seed.get_or_insert(dl);
-        for (engine, parallelism, best) in [
-            ("bitmap-seq", Parallelism::Sequential, &mut bitmap_seq_ms),
-            ("two-sided", Parallelism::Threads(2), &mut two_sided_ms),
-            ("auto", Parallelism::Auto, &mut auto_ms),
-        ] {
-            let (dl, ms) = time_ms(build(Pruning::RankBitmap, parallelism));
-            *best = best.min(ms);
-            if round == 0 {
-                assert_identical_labels(engine, &dl, dl_seed);
-            }
+        let (dl, ms) = time_ms(build(Pruning::RankBitmap));
+        bitmap_seq_ms = bitmap_seq_ms.min(ms);
+        if round == 0 {
+            assert_identical_labels("bitmap-seq", &dl, &dl_seed);
         }
     }
     let build = EngineTimings {
         seed_merge_ms,
         bitmap_seq_ms,
-        two_sided_ms,
-        auto_ms,
-        auto_threads: Parallelism::Auto.resolve(n),
     };
 
     // --- Headline query paths. -------------------------------------
@@ -1177,24 +1146,24 @@ fn run_overload(
 }
 
 impl PerfReport {
-    /// `seed_merge_ms / auto_ms` on the headline workload.
+    /// `seed_merge_ms / bitmap_seq_ms` on the headline workload.
     pub fn build_speedup(&self) -> f64 {
-        self.build.seed_merge_ms / self.build.auto_ms.max(f64::MIN_POSITIVE)
+        self.build.seed_merge_ms / self.build.bitmap_seq_ms.max(f64::MIN_POSITIVE)
     }
 
-    /// `build.auto_ms / cold_start.mapped_open_ms` on the headline
+    /// `build.bitmap_seq_ms / cold_start.mapped_open_ms` on the headline
     /// graph: how much faster a replica serves from a prebuilt arena
     /// than by building the labels itself. `--check` holds it to ≥ 10×
     /// on the full run.
     pub fn open_vs_build_speedup(&self) -> f64 {
-        self.build.auto_ms / self.cold_start.mapped_open_ms.max(f64::MIN_POSITIVE)
+        self.build.bitmap_seq_ms / self.cold_start.mapped_open_ms.max(f64::MIN_POSITIVE)
     }
 
     /// CI sanity invariants: the filter stack must decide *some*
     /// queries, the filtered hot path must not be slower than the
-    /// unfiltered one, and `Parallelism::Auto` must land within 10% of
-    /// the best individual engine (plus a small absolute slack so
-    /// quick-mode timing noise on tiny graphs cannot flake CI).
+    /// unfiltered one, and the shipped rank-bitmap build must land
+    /// within 10% of the seed merge build (plus a small absolute slack
+    /// so quick-mode timing noise on tiny graphs cannot flake CI).
     pub fn check(&self) -> Result<(), String> {
         if self.main.filter_hit_rate <= 0.0 {
             return Err("filter hit-rate is zero — the pre-filter stack decided nothing".into());
@@ -1209,13 +1178,13 @@ impl PerfReport {
                 self.main.filtered_qps, self.main.unfiltered_qps
             ));
         }
-        let best = self.build.best_ms();
-        let bar = best * 1.10 + 25.0;
-        if self.build.auto_ms > bar {
+        let seed = self.build.seed_merge_ms;
+        let bar = seed * 1.10 + 25.0;
+        if self.build.bitmap_seq_ms > bar {
             return Err(format!(
-                "Parallelism::Auto picked a loser: {:.1} ms vs best engine {:.1} ms \
+                "the rank-bitmap build lost to the seed merge: {:.1} ms vs {:.1} ms \
                  (allowed {:.1} ms)",
-                self.build.auto_ms, best, bar
+                self.build.bitmap_seq_ms, seed, bar
             ));
         }
         for f in std::iter::once(&self.main).chain(&self.families) {
@@ -1238,15 +1207,14 @@ impl PerfReport {
                  ({:.2} ms vs {:.2} ms); the v3 arena promises >= 10x",
                 self.open_vs_build_speedup(),
                 self.cold_start.mapped_open_ms,
-                self.build.auto_ms
+                self.build.bitmap_seq_ms
             ));
         }
         // Scaling sanity: on a multi-core host, the best parallel
-        // query width and the two-sided build must at least match
-        // sequential (same 5% / small-ms noise allowances as above).
-        // On a 1-core host extra threads are pure overhead, so the
-        // numbers are recorded but not gated — the CI `perf-multicore`
-        // job is where this gate has teeth.
+        // query width must at least match sequential (same 5% noise
+        // allowance as above). On a 1-core host extra threads are pure
+        // overhead, so the curve is recorded but not gated — the CI
+        // `perf-multicore` job is where this gate has teeth.
         if self.host_cores >= 2 {
             let seq = self
                 .scaling
@@ -1264,13 +1232,6 @@ impl PerfReport {
                     "parallel batch query never matched sequential: best {:.0} q/s \
                      vs 1-thread {:.0} q/s",
                     best_qps, seq.query_qps
-                ));
-            }
-            let (two_sided, seq_build) = (self.build.two_sided_ms, self.build.bitmap_seq_ms);
-            if two_sided > seq_build * 1.05 + 25.0 {
-                return Err(format!(
-                    "parallel build never matched sequential: two-sided {two_sided:.1} ms \
-                     vs 1-thread {seq_build:.1} ms"
                 ));
             }
         }
@@ -1534,7 +1495,7 @@ impl PerfReport {
   }}"#,
                 fq = self.main.filtered_qps / PREV_FILTERED_QPS,
                 uq = self.main.unfiltered_qps / PREV_UNFILTERED_QPS,
-                ba = PREV_BUILD_AUTO_MS / self.build.auto_ms.max(f64::MIN_POSITIVE),
+                ba = PREV_BUILD_AUTO_MS / self.build.bitmap_seq_ms.max(f64::MIN_POSITIVE),
             )
         };
         format!(
@@ -1558,10 +1519,7 @@ impl PerfReport {
   "build": {{
     "seed_merge_ms": {seed_merge:.2},
     "bitmap_seq_ms": {bitmap_seq:.2},
-    "two_sided_ms": {two_sided:.2},
-    "auto_ms": {auto:.2},
-    "auto_threads": {auto_threads},
-    "speedup_auto_vs_seed": {build_speedup:.3}
+    "speedup_bitmap_vs_seed": {build_speedup:.3}
   }},
   "query": {{
     "queries": {queries},
@@ -1631,9 +1589,6 @@ impl PerfReport {
             signature_bytes = self.signature_bytes,
             seed_merge = self.build.seed_merge_ms,
             bitmap_seq = self.build.bitmap_seq_ms,
-            two_sided = self.build.two_sided_ms,
-            auto = self.build.auto_ms,
-            auto_threads = self.build.auto_threads,
             build_speedup = self.build_speedup(),
             queries = self.main.queries,
             threads = self.query_threads,
@@ -1691,8 +1646,7 @@ mod tests {
         let json = report.to_json();
         for key in [
             "\"seed_merge_ms\"",
-            "\"two_sided_ms\"",
-            "\"auto_threads\"",
+            "\"bitmap_seq_ms\"",
             "\"filtered_qps\"",
             "\"signature_cut\"",
             "\"deep_chain\"",
@@ -1786,22 +1740,14 @@ mod tests {
                 query_qps: 200_000.0,
             },
         ];
-        report.build.bitmap_seq_ms = 10.0;
-        report.build.two_sided_ms = 40.0;
-        report.build.auto_ms = 10.0;
         report.host_cores = 1;
         report.check().expect("1-core host is not gated");
         // On a multi-core host the same flat curve fails.
         report.host_cores = 4;
         let err = report.check().unwrap_err();
         assert!(err.contains("parallel batch query"), "{err}");
-        // So does a two-sided build slower than sequential.
-        report.scaling[1].query_qps = 2_000_000.0;
-        let err = report.check().unwrap_err();
-        assert!(err.contains("parallel build"), "{err}");
         // A healthy curve passes.
-        report.build.two_sided_ms = 6.0;
-        report.build.auto_ms = 6.0;
+        report.scaling[1].query_qps = 2_000_000.0;
         report.check().expect("healthy curve passes");
     }
 
@@ -1816,15 +1762,15 @@ mod tests {
     }
 
     #[test]
-    fn check_rejects_a_losing_auto_engine() {
+    fn check_rejects_a_losing_bitmap_engine() {
         let mut report = run_perf_tiny_for_tests();
         // Normalize debug-build timing noise out of the invariant not
         // under test (the real run measures in release mode).
         report.main.filtered_qps = report.main.filtered_qps.max(report.main.unfiltered_qps);
         report.check().expect("tiny report passes");
-        report.build.auto_ms = report.build.best_ms() * 2.0 + 100.0;
+        report.build.bitmap_seq_ms = report.build.seed_merge_ms * 2.0 + 100.0;
         let err = report.check().unwrap_err();
-        assert!(err.contains("picked a loser"), "{err}");
+        assert!(err.contains("lost to the seed merge"), "{err}");
     }
 
     /// A miniature run through the real plumbing so the debug-build
@@ -1870,9 +1816,6 @@ mod tests {
             build: EngineTimings {
                 seed_merge_ms: 4.0,
                 bitmap_seq_ms: 2.0,
-                two_sided_ms: 2.5,
-                auto_ms: 2.0,
-                auto_threads: 1,
             },
             verdict_counts: FilterVerdict::ALL
                 .iter()

@@ -30,7 +30,7 @@
 //! ### The hot-path build engine
 //!
 //! The textbook transcription of Algorithm 2 pays a full sorted-merge
-//! `L_out(u) ∩ L_in(v_i)` on **every** BFS pop. Three observations make
+//! `L_out(u) ∩ L_in(v_i)` on **every** BFS pop. Two observations make
 //! the build much faster without changing a single emitted label:
 //!
 //! 1. **Rank-bitmap pruning** ([`Pruning::RankBitmap`], the default).
@@ -40,33 +40,25 @@
 //!    epoch-stamped, rank-indexed membership array turns each test into
 //!    `O(|L_out(u)|)` probes with O(1) lookups — and the epoch stamp
 //!    makes the per-hop reset O(1) instead of O(n).
-//! 2. **A prefetched BFS queue** (every engine). The pruned BFS keeps
-//!    its queue in a flat `Vec` and reads ahead of the pop cursor: it
-//!    prefetches the label-list header of the entry
-//!    `HEADER_AHEAD` pops away, and the list data plus the adjacency
-//!    slice of the entry `DATA_AHEAD` pops away — so by the time a
-//!    vertex is popped, the loads its prune test and expansion need
-//!    are already in flight. Hints change no result.
-//! 3. **The two-sided engine** ([`Parallelism`]). The reverse BFS of
-//!    hop `v_r` reads and writes only `L_out` (plus the fixed
-//!    `L_in(v_r)`), the forward BFS only `L_in` (plus the fixed
-//!    `L_out(v_r)`). So the calling thread runs every hop's reverse
-//!    side and owns `L_out`, one scoped thread runs every forward side
-//!    and owns `L_in`, and the only state they share is each side's
-//!    list of `v_r` *as of hop start*: at hop `r` each side copies its
-//!    own list of `v_r` into a two-slot snapshot buffer, publishes its
-//!    progress, and waits for the peer's snapshot before its BFS. By
-//!    Theorem 2 the labels hop `r` adds depend only on the labels at
-//!    the start of hop `r`, so this emits labels *byte-identical* to
-//!    the sequential engine — enforced by tests at every width.
+//! 2. **A prefetched BFS queue**. The pruned BFS keeps its queue in a
+//!    flat `Vec` and reads ahead of the pop cursor: it prefetches the
+//!    label-list header of the entry `HEADER_AHEAD` pops away, and the
+//!    list data plus the adjacency slice of the entry `DATA_AHEAD` pops
+//!    away — so by the time a vertex is popped, the loads its prune
+//!    test and expansion need are already in flight. Hints change no
+//!    result.
+//!
+//! The build runs on the calling thread. Two multi-threaded engines —
+//! an N-thread level-chunked one and a two-sided one (reverse BFSs on
+//! one thread, forward BFSs on another, handing off per hop) — emitted
+//! identical labels but did not beat this loop in wall time on a 2-core
+//! host, and the two-sided one spent ~1.8x its CPU time; both were
+//! retired (ROADMAP 3(d) has the measurements).
 //!
 //! [`Pruning::SortedMerge`] keeps the original per-pop merge as a
 //! measurable reference — `paper perf` reports the speedup of the
-//! rank-bitmap engines against it and checks their labels against it.
+//! rank-bitmap engine against it and checks its labels against it.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard};
-use std::thread::Thread;
 use std::time::Instant;
 
 use hoplite_graph::traversal::VisitedSet;
@@ -77,10 +69,6 @@ use crate::metrics::BuildTrace;
 use crate::oracle::ReachIndex;
 use crate::order::OrderKind;
 use crate::store::{prefetch, Store};
-
-/// Below this vertex count [`Parallelism::Auto`] stays sequential: the
-/// per-hop handoff costs more than tiny BFSs save.
-const PARALLEL_MIN_VERTICES: usize = 2_048;
 
 /// Pops ahead of the cursor whose label-list header `distribute`
 /// prefetches.
@@ -93,55 +81,6 @@ const HEADER_AHEAD: usize = 8;
 /// led most often.
 const DATA_AHEAD: usize = 2;
 
-/// Spin iterations (about 80 µs) a two-sided build side waits for its
-/// peer before parking. Most hops are short, so a peer usually arrives
-/// within a few microseconds; the bound keeps a side that waits on a
-/// long hop from burning a core.
-const SPIN_LIMIT: u32 = 1 << 12;
-
-/// A waiting side yields its CPU once per this many spin iterations.
-/// When both sides share one CPU (the other core is busy elsewhere),
-/// a pure spin holds the CPU the peer needs for the whole spin budget
-/// on every hop: a one-CPU two-sided build measured 6x slower than the
-/// sequential engine without the yield, and on par with it with one.
-const YIELD_EVERY: u32 = 64;
-
-/// How many OS threads [`DistributionLabeling::build`] may use: it picks
-/// the rank-bitmap engine, sequential or two-sided (module docs).
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-pub enum Parallelism {
-    /// The two-sided engine when the DAG has at least
-    /// `PARALLEL_MIN_VERTICES` vertices and the host has ≥ 2 cores;
-    /// sequential otherwise.
-    #[default]
-    Auto,
-    /// Always build on the calling thread.
-    Sequential,
-    /// `t ≥ 2` runs the two-sided engine on 2 threads (a hop has two
-    /// sides) at any graph size; `t ≤ 1` runs the sequential engine.
-    Threads(usize),
-}
-
-impl Parallelism {
-    /// The thread count the build really uses for an `n`-vertex DAG on
-    /// this host — 1 (sequential) or 2 (two-sided) — exposed so reports
-    /// (`paper perf`) state it without re-deriving the policy.
-    pub fn resolve(self, n: usize) -> usize {
-        match self {
-            Parallelism::Sequential | Parallelism::Threads(0 | 1) => 1,
-            Parallelism::Threads(_) => 2,
-            Parallelism::Auto => {
-                let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
-                if n >= PARALLEL_MIN_VERTICES && cores >= 2 {
-                    2
-                } else {
-                    1
-                }
-            }
-        }
-    }
-}
-
 /// Pruning-test implementation used by the build loop.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub enum Pruning {
@@ -152,8 +91,7 @@ pub enum Pruning {
     RankBitmap,
     /// The paper-literal per-pop sorted merge,
     /// `O(|L_out(u)| + |L_in(v_i)|)` per pop. Kept as the measurable
-    /// reference baseline; always sequential ([`Parallelism`] is
-    /// ignored).
+    /// reference baseline.
     SortedMerge,
 }
 
@@ -162,8 +100,6 @@ pub enum Pruning {
 pub struct DlConfig {
     /// Vertex processing order (default: the paper's degree product).
     pub order: OrderKind,
-    /// Thread policy for the hop-distribution loop.
-    pub parallelism: Parallelism,
     /// Pruning-test engine (default: rank-bitmap).
     pub pruning: Pruning,
 }
@@ -262,10 +198,10 @@ impl DistributionLabeling {
 
     /// [`Self::build`] with construction-phase span tracing: the order
     /// computation, the hop-distribution loop, and the label freeze
-    /// each record a span into `trace`, and every engine records one
-    /// per-hop sample (the calling thread's wall time, waits included).
-    /// With `trace = None` this is exactly [`Self::build`] — the engines
-    /// take one dead branch per hop and record nothing.
+    /// each record a span into `trace`, and every hop records one
+    /// sample (both BFS sides) into its per-hop histogram. With
+    /// `trace = None` this is exactly [`Self::build`] — the loop takes
+    /// one dead branch per hop and records nothing.
     pub fn build_traced(dag: &Dag, cfg: &DlConfig, trace: Option<&BuildTrace>) -> Self {
         let order = match trace {
             Some(t) => t.span("order", || cfg.order.compute(dag)),
@@ -288,8 +224,8 @@ impl DistributionLabeling {
     /// [`Self::build_with_order`] with explicit engine knobs
     /// (`cfg.order` is ignored in favor of `order`).
     ///
-    /// Every engine combination emits **identical** labels; the knobs
-    /// trade construction time only.
+    /// Both pruning engines emit **identical** labels; the knob trades
+    /// construction time only.
     ///
     /// # Panics
     /// Panics if `order` is not a permutation of `0..n`.
@@ -319,10 +255,7 @@ impl DistributionLabeling {
         });
         let engine = || match cfg.pruning {
             Pruning::SortedMerge => build_sequential(dag, &order, MergeSet(Vec::new()), trace),
-            Pruning::RankBitmap if cfg.parallelism.resolve(n) == 1 => {
-                build_sequential(dag, &order, RankSet::new(n), trace)
-            }
-            Pruning::RankBitmap => build_two_sided(dag, &order, trace),
+            Pruning::RankBitmap => build_sequential(dag, &order, RankSet::new(n), trace),
         };
         let b = match trace {
             Some(t) => t.span("distribute", engine),
@@ -374,7 +307,7 @@ impl DistributionLabeling {
 /// vertex's current label list — a hit means that vertex already
 /// covers `v_i` through a higher-ranked hop, so neither it nor
 /// anything beyond it needs this hop. The closures monomorphize, so
-/// the skeleton the engines share costs nothing on the hot path. The
+/// the skeleton both sides share costs nothing on the hot path. The
 /// queue is a flat `Vec` walked by a cursor so the entries still to
 /// pop can be prefetched (module docs, point 2).
 fn distribute<'g>(
@@ -412,8 +345,8 @@ fn distribute<'g>(
     }
 }
 
-/// The single-thread engine: both sides of every hop on the calling
-/// thread, pruned against `members` (a merge for
+/// The hop loop: both sides of every hop on the calling thread, pruned
+/// against `members` (a merge for
 /// [`Pruning::SortedMerge`], a rank bitmap for [`Pruning::RankBitmap`]).
 /// Both prune sets emit identical labels — within a hop side the
 /// snapshot equals the list a live merge would scan (the reverse BFS
@@ -463,131 +396,6 @@ fn build_sequential(
         }
     }
     b
-}
-
-// ---------------------------------------------------------------------
-// The two-sided engine
-// ---------------------------------------------------------------------
-
-/// One side's half of the hop handoff (soundness: module docs, point
-/// 3). At hop `r` a side copies its own list of `v_r` into its slot
-/// `r & 1`, bumps `published` to `r + 1` (Release), waits until the
-/// peer's `published` reaches `r + 1` (Acquire), and loads the peer's
-/// slot `r & 1`. Two slots suffice: a side refills slot `r & 1` at hop
-/// `r + 2` only after it saw the peer publish hop `r + 1`, and the peer
-/// read that slot during hop `r`, before it published hop `r + 1`.
-#[derive(Default)]
-struct Lane {
-    /// Hops this side has published a snapshot for.
-    published: AtomicUsize,
-    /// The handoff never lets both sides hold one slot at once, so the
-    /// locks are never contended; they make the exchange safe code
-    /// rather than serialize it.
-    slots: [Mutex<Vec<u32>>; 2],
-}
-
-impl Lane {
-    /// The snapshot slot of hop `hop`.
-    fn slot(&self, hop: usize) -> MutexGuard<'_, Vec<u32>> {
-        self.slots[hop & 1].lock().expect("handoff slot poisoned")
-    }
-}
-
-/// Releases the peer for good when its side ends, normally or by panic:
-/// a peer waiting on a panicked side would otherwise park forever and
-/// never be joined. A released peer runs on with stale snapshots, but
-/// the scope then re-raises the panic, so those labels are discarded.
-struct ReleaseOnExit<'a> {
-    lane: &'a Lane,
-    peer: &'a Thread,
-}
-
-impl Drop for ReleaseOnExit<'_> {
-    fn drop(&mut self) {
-        self.lane.published.store(usize::MAX, Ordering::Release);
-        self.peer.unpark();
-    }
-}
-
-/// Blocks until `lane` has published `hops` snapshots: a bounded spin
-/// that yields now and then, then `park` until the peer's `unpark`.
-fn wait_for(lane: &Lane, hops: usize) {
-    let mut spins = 0u32;
-    while lane.published.load(Ordering::Acquire) < hops {
-        if spins < SPIN_LIMIT {
-            spins += 1;
-            if spins % YIELD_EVERY == 0 {
-                std::thread::yield_now();
-            } else {
-                std::hint::spin_loop();
-            }
-        } else {
-            std::thread::park();
-        }
-    }
-}
-
-/// One side of the two-sided engine: every hop's BFS over `neighbors`,
-/// appending to `own` (the side's label array), pruned against the
-/// peer's hop-start snapshot taken from `theirs`. With a trace, each
-/// hop's wall time on this thread (wait included) is recorded.
-fn run_side<'g>(
-    order: &[VertexId],
-    own: &mut [Vec<u32>],
-    neighbors: impl Fn(VertexId) -> &'g [VertexId],
-    mine: &Lane,
-    theirs: &Lane,
-    peer: &Thread,
-    trace: Option<&BuildTrace>,
-) {
-    let _release = ReleaseOnExit { lane: mine, peer };
-    let n = own.len();
-    let mut visited = VisitedSet::new(n);
-    let mut queue = Vec::new();
-    let mut members = RankSet::new(n);
-    for (rank, &vi) in order.iter().enumerate() {
-        let hop_started = trace.map(|_| Instant::now());
-        mine.slot(rank).clone_from(&own[vi as usize]);
-        mine.published.store(rank + 1, Ordering::Release);
-        peer.unpark();
-        wait_for(theirs, rank + 1);
-        members.load(&theirs.slot(rank));
-        distribute(
-            own,
-            vi,
-            rank as u32,
-            &neighbors,
-            |l| members.intersects(l),
-            &mut visited,
-            &mut queue,
-        );
-        if let (Some(t), Some(started)) = (trace, hop_started) {
-            t.record_hop(started.elapsed().as_nanos() as u64);
-        }
-    }
-}
-
-/// Rank-bitmap engine on two threads: the calling thread runs every
-/// hop's reverse side and owns `L_out`, one scoped thread runs every
-/// forward side and owns `L_in`, in lockstep by hop. Emits labels
-/// byte-identical to [`build_sequential`]. With a trace, the per-hop
-/// histogram gets the calling thread's samples.
-fn build_two_sided(dag: &Dag, order: &[VertexId], trace: Option<&BuildTrace>) -> LabelingBuilder {
-    let g = dag.graph();
-    let LabelingBuilder { mut out, mut in_ } = LabelingBuilder::new(dag.num_vertices());
-    let (reverse, forward) = (Lane::default(), Lane::default());
-    let caller = std::thread::current();
-    std::thread::scope(|s| {
-        let forward_side = s.spawn(|| {
-            let fwd = |w| g.out_neighbors(w);
-            run_side(order, &mut in_, fwd, &forward, &reverse, &caller, None);
-        });
-        let rev = |u| g.in_neighbors(u);
-        let peer = forward_side.thread();
-        run_side(order, &mut out, rev, &reverse, &forward, peer, trace);
-        forward_side.join().expect("forward build side panicked");
-    });
-    LabelingBuilder { out, in_ }
 }
 
 impl ReachIndex for DistributionLabeling {
@@ -769,173 +577,57 @@ mod tests {
         }
     }
 
-    fn build_with(dag: &Dag, parallelism: Parallelism) -> DistributionLabeling {
-        DistributionLabeling::build(
-            dag,
-            &DlConfig {
-                parallelism,
-                ..DlConfig::default()
-            },
-        )
-    }
-
-    /// Every engine combination — seed merge, rank-bitmap sequential,
-    /// rank-bitmap two-sided — must emit byte-identical labels; the
-    /// knobs trade construction time only.
+    /// Both pruning engines — seed merge and rank bitmap — must emit
+    /// byte-identical labels, on ordinary graph families and on
+    /// degenerate shapes (no vertices, no edges, a bare path); the knob
+    /// trades construction time only.
     #[test]
     fn all_engines_emit_identical_labels() {
-        let engines = [
-            (Pruning::SortedMerge, Parallelism::Sequential),
-            (Pruning::RankBitmap, Parallelism::Sequential),
-            (Pruning::RankBitmap, Parallelism::Threads(2)),
-            (Pruning::RankBitmap, Parallelism::Threads(4)),
+        let build = |dag: &Dag, pruning| {
+            DistributionLabeling::build(
+                dag,
+                &DlConfig {
+                    order: OrderKind::DegProduct,
+                    pruning,
+                },
+            )
+        };
+        let degenerate = [
+            Dag::from_edges(0, &[]).unwrap(),
+            Dag::from_edges(1, &[]).unwrap(),
+            Dag::from_edges(5, &[]).unwrap(),
+            Dag::from_edges(4, &[(0, 1), (1, 2), (2, 3)]).unwrap(),
         ];
-        for seed in 0..4 {
-            for dag in [
+        let families = (0..4).flat_map(|seed| {
+            [
                 gen::random_dag(80, 240, seed),
                 gen::tree_plus_dag(80, 20, seed),
                 gen::power_law_dag(80, 240, seed),
-            ] {
-                let built: Vec<DistributionLabeling> = engines
-                    .iter()
-                    .map(|&(pruning, parallelism)| {
-                        DistributionLabeling::build(
-                            &dag,
-                            &DlConfig {
-                                order: OrderKind::DegProduct,
-                                parallelism,
-                                pruning,
-                            },
-                        )
-                    })
-                    .collect();
-                let reference = &built[0];
-                assert_matches_bfs(&dag, reference);
-                for (i, dl) in built.iter().enumerate().skip(1) {
-                    assert_identical(dl, reference, &format!("engine {i}, seed {seed}"));
-                }
-            }
+            ]
+        });
+        for (i, dag) in degenerate.into_iter().chain(families).enumerate() {
+            let reference = build(&dag, Pruning::SortedMerge);
+            assert_matches_bfs(&dag, &reference);
+            let bitmap = build(&dag, Pruning::RankBitmap);
+            assert_identical(&bitmap, &reference, &format!("graph {i}"));
         }
-    }
-
-    /// The two-sided engine must also hold on degenerate shapes where
-    /// one side's BFS is empty or the whole graph is edge-free.
-    #[test]
-    fn two_sided_engine_handles_degenerate_graphs() {
-        for threads in [1usize, 2, 8] {
-            for dag in [
-                Dag::from_edges(0, &[]).unwrap(),
-                Dag::from_edges(1, &[]).unwrap(),
-                Dag::from_edges(5, &[]).unwrap(),
-                Dag::from_edges(4, &[(0, 1), (1, 2), (2, 3)]).unwrap(),
-            ] {
-                let par = build_with(&dag, Parallelism::Threads(threads));
-                let seq = build_with(&dag, Parallelism::Sequential);
-                assert_eq!(
-                    par.labeling().total_entries(),
-                    seq.labeling().total_entries(),
-                    "threads={threads}"
-                );
-                assert_matches_bfs(&dag, &par);
-            }
-        }
-    }
-
-    /// The satellite matrix: every width in {1, 2, 3, 4, 8} (1 runs the
-    /// sequential engine, the rest the two-sided one) emits
-    /// byte-identical labels across graph families and sizes.
-    #[test]
-    fn two_sided_engine_byte_identical_across_thread_matrix() {
-        for (dag, what) in [
-            (gen::random_dag(600, 2_400, 5), "random 600"),
-            (gen::random_dag(40, 120, 6), "random 40"),
-            (gen::power_law_dag(300, 900, 7), "power-law 300"),
-            (gen::tree_plus_dag(500, 60, 8), "tree 500"),
-        ] {
-            let reference = build_with(&dag, Parallelism::Sequential);
-            for threads in [1usize, 2, 3, 4, 8] {
-                let built = build_with(&dag, Parallelism::Threads(threads));
-                assert_identical(&built, &reference, &format!("{what}, t={threads}"));
-            }
-        }
-    }
-
-    /// Lopsided shapes, where one side's BFS covers the graph while
-    /// the other's stops at the root: one side does nearly all the work
-    /// while the other waits, so the handoff's wait and park paths carry
-    /// the whole build. Under the degree-product order every hop of a
-    /// chain forwards over the rest of it, so its labels are quadratic
-    /// and its prune probes cubic in the length: the chain and the
-    /// broom handle stay short, the stars take the vertex count.
-    #[test]
-    fn two_sided_engine_byte_identical_on_lopsided_graphs() {
-        let k = 5_000u32;
-        let in_star: Vec<(u32, u32)> = (1..k).map(|v| (v, 0)).collect();
-        let out_star: Vec<(u32, u32)> = (1..k).map(|v| (0, v)).collect();
-        // A broom: a 100-vertex handle whose tip fans out to the rest.
-        let broom: Vec<(u32, u32)> = (0..99)
-            .map(|v| (v, v + 1))
-            .chain((100..k).map(|v| (99, v)))
-            .collect();
-        let chain: Vec<(u32, u32)> = (0..399).map(|v| (v, v + 1)).collect();
-        for (n, edges, what) in [
-            (k as usize, in_star, "in-star"),
-            (k as usize, out_star, "out-star"),
-            (k as usize, broom, "broom"),
-            (400, chain, "chain 400"),
-        ] {
-            let dag = Dag::from_edges(n, &edges).unwrap();
-            let reference = build_with(&dag, Parallelism::Sequential);
-            let built = build_with(&dag, Parallelism::Threads(2));
-            assert_identical(&built, &reference, what);
-        }
-    }
-
-    /// `resolve` reports the threads the build really uses. Below
-    /// `PARALLEL_MIN_VERTICES` `Auto` stays sequential, and forcing the
-    /// two-sided engine there changes no label.
-    #[test]
-    fn resolve_reports_the_threads_actually_used() {
-        assert_eq!(Parallelism::Sequential.resolve(1 << 20), 1);
-        for (t, want) in [(0, 1), (1, 1), (2, 2), (3, 2), (8, 2)] {
-            assert_eq!(Parallelism::Threads(t).resolve(10), want, "Threads({t})");
-        }
-        let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
-        let big = Parallelism::Auto.resolve(PARALLEL_MIN_VERTICES);
-        assert_eq!(big, if cores >= 2 { 2 } else { 1 });
-
-        let dag = gen::random_dag(PARALLEL_MIN_VERTICES - 48, 6_000, 12);
-        assert_eq!(Parallelism::Auto.resolve(dag.num_vertices()), 1);
-        let reference = build_with(&dag, Parallelism::Sequential);
-        assert_identical(&build_with(&dag, Parallelism::Auto), &reference, "auto");
-        let built = build_with(&dag, Parallelism::Threads(2));
-        assert_identical(&built, &reference, "threads=2");
     }
 
     /// Tracing must be an observer: a traced build emits exactly the
     /// labels of the untraced one and records the expected spans and
-    /// one per-hop sample per vertex, on both rank-bitmap engines.
+    /// one per-hop sample per vertex.
     #[test]
     fn traced_build_is_label_identical_and_records_spans() {
         use crate::metrics::BuildTrace;
         let dag = gen::random_dag(120, 360, 9);
-        let plain = DistributionLabeling::build(&dag, &DlConfig::default());
-        for parallelism in [Parallelism::Sequential, Parallelism::Threads(2)] {
-            let trace = BuildTrace::new();
-            let cfg = DlConfig {
-                parallelism,
-                ..DlConfig::default()
-            };
-            let traced = DistributionLabeling::build_traced(&dag, &cfg, Some(&trace));
-            assert_identical(&traced, &plain, &format!("{parallelism:?}"));
-            let names: Vec<String> = trace.spans().iter().map(|s| s.name.clone()).collect();
-            assert_eq!(names, ["order", "distribute", "freeze"]);
-            assert_eq!(
-                trace.hop_snapshot().count(),
-                dag.num_vertices() as u64,
-                "{parallelism:?}"
-            );
-        }
+        let cfg = DlConfig::default();
+        let plain = DistributionLabeling::build(&dag, &cfg);
+        let trace = BuildTrace::new();
+        let traced = DistributionLabeling::build_traced(&dag, &cfg, Some(&trace));
+        assert_identical(&traced, &plain, "traced");
+        let names: Vec<String> = trace.spans().iter().map(|s| s.name.clone()).collect();
+        assert_eq!(names, ["order", "distribute", "freeze"]);
+        assert_eq!(trace.hop_snapshot().count(), dag.num_vertices() as u64);
     }
 
     #[test]

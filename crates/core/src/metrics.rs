@@ -356,7 +356,7 @@ impl BuildTrace {
         value
     }
 
-    /// Record one per-hop labeling duration (sequential engine).
+    /// Record one per-hop labeling duration.
     #[inline]
     pub fn record_hop(&self, ns: u64) {
         self.hops.record(ns);
